@@ -143,7 +143,8 @@ pub struct LockManagerConfig {
     /// two).
     pub buckets: usize,
     /// Upper bound on concurrently registered agent threads (sizes the
-    /// deadlock digest table).
+    /// deadlock digest table and the per-agent `LockStats` shards, 384 B
+    /// each with a single policy scope).
     pub max_agents: usize,
     /// Deadlock strategy.
     pub deadlock: DeadlockPolicy,

@@ -24,7 +24,7 @@ use crate::policy::{HeldLock, LockPolicy};
 use crate::request::{LockRequest, RequestStatus};
 use crate::scope::PolicyMap;
 use crate::sli::AgentSliState;
-use crate::stats::{LockClass, LockStats};
+use crate::stats::{AgentStats, LockClass, LockStats};
 use crate::txn::{Entry, TxnLockState};
 use crate::word::FastAcquire;
 
@@ -55,7 +55,7 @@ impl LockManager {
         let table = LockTable::new(config.buckets, Arc::clone(&policies));
         let digests = DigestTable::new(config.max_agents);
         let default_policy = Arc::clone(policies.default_policy());
-        let stats = LockStats::with_scopes(policies.num_scopes());
+        let stats = LockStats::sharded(policies.num_scopes(), config.max_agents);
         Arc::new(LockManager {
             config,
             policies,
@@ -94,7 +94,8 @@ impl LockManager {
         self.policies.bind_table(name, table)
     }
 
-    /// Global lock-manager counters.
+    /// Lock-manager counters, summed over all agents by
+    /// [`LockStats::snapshot`].
     pub fn stats(&self) -> &LockStats {
         &self.stats
     }
@@ -150,6 +151,7 @@ impl LockManager {
             return;
         }
         let _sli = sli_profiler::enter(Category::Work(Component::Sli));
+        let stats = self.stats.agent(agent.slot());
         // Validate coarse-to-fine so each child can consult its parent.
         agent.inherited.sort_by_key(|(r, _)| r.lock_id().level());
         let entries = std::mem::take(&mut agent.inherited);
@@ -181,7 +183,7 @@ impl LockManager {
                     {
                         let mut q = head.latch_untracked();
                         if q.invalidate_inherited(&req) {
-                            self.stats.on_sli_invalidated(head.scope_id());
+                            stats.on_sli_invalidated(head.scope_id());
                             q.grant_pass(&self.stats);
                         }
                     }
@@ -215,7 +217,7 @@ impl LockManager {
             // Coarse-grain short circuit: a strong ancestor covers the rest.
             if let Some(held) = ts.held_mode(aid) {
                 if held.covers_child(mode) {
-                    self.stats.on_coverage_hit();
+                    self.stats.agent(ts.agent_slot).on_coverage_hit();
                     return Ok(());
                 }
             }
@@ -234,29 +236,30 @@ impl LockManager {
         // The grant-word experiment's metric: page-or-higher intention
         // acquisitions, split by whether they bypassed the head latch.
         let track = mode.is_intent() && id.level().is_page_or_higher();
+        let stats = self.stats.agent(ts.agent_slot);
         // --- lock-cache fast paths -------------------------------------
         match ts.cache.get(&id).cloned() {
             Some(Entry::Fast(held, head)) => {
                 if held.implies(mode) {
-                    self.stats.on_cache_hit();
+                    stats.on_cache_hit();
                     return Ok(());
                 }
                 // Upgrading a grant-word hold: materialize a queued
                 // request at the held mode, then run the normal upgrade.
                 let req = self.materialize_fast(ts, agent, id, held, &head);
                 if track {
-                    self.stats.on_ancestor_acquire(false);
+                    stats.on_ancestor_acquire(false);
                 }
                 return self.upgrade(ts, &req, &head, mode);
             }
             Some(Entry::Queued(req, head)) => match req.status() {
                 RequestStatus::Granted | RequestStatus::Converting if req.txn() == ts.txn_seq => {
                     if req.mode().implies(mode) {
-                        self.stats.on_cache_hit();
+                        stats.on_cache_hit();
                         return Ok(());
                     }
                     if track {
-                        self.stats.on_ancestor_acquire(false);
+                        stats.on_ancestor_acquire(false);
                     }
                     return self.upgrade(ts, &req, &head, mode);
                 }
@@ -264,7 +267,7 @@ impl LockManager {
                     // The SLI fast path: a bare CAS, no latch, no allocation.
                     let _sli = sli_profiler::enter(Category::Work(Component::Sli));
                     if req.try_reclaim(ts.txn_seq) {
-                        self.stats.on_sli_reclaimed(head.scope_id());
+                        stats.on_sli_reclaimed(head.scope_id());
                         head.grant_word().dec_inherited();
                         // Adaptive policies sample the reclaim (after the
                         // decrement, so the word's inherited counter shows
@@ -278,12 +281,12 @@ impl LockManager {
                         drop(_sli);
                         if req.mode().implies(mode) {
                             if track {
-                                self.stats.on_ancestor_acquire(true);
+                                stats.on_ancestor_acquire(true);
                             }
                             return Ok(());
                         }
                         if track {
-                            self.stats.on_ancestor_acquire(false);
+                            stats.on_ancestor_acquire(false);
                         }
                         let Some(Entry::Queued(_, h)) = ts.cache.get(&id).cloned() else {
                             unreachable!("just inserted");
@@ -336,7 +339,7 @@ impl LockManager {
         let idx = held.fast_group_index().expect("fast holds are group modes");
         head.clear_fast_hint(ts.agent_slot);
         if head.grant_word().fast_release(idx) {
-            self.stats.on_fastpath_slow_release();
+            self.stats.agent(ts.agent_slot).on_fastpath_slow_release();
             let mut q = head.latch_untracked();
             q.grant_pass(&self.stats);
         }
@@ -370,16 +373,17 @@ impl LockManager {
             RequestStatus::Waiting
         };
         let held = if granted { mode } else { LockMode::NL };
+        let stats = self.stats.agent(agent.slot());
         if let Some(mut req) = agent.pool_get() {
             // The pool only admits unshared Arcs, and nothing can clone a
             // pooled request, so exclusive access is guaranteed.
             Arc::get_mut(&mut req)
                 .expect("pooled request is unshared")
                 .reinit(id, agent.slot(), txn, held, mode, status);
-            self.stats.on_request_pooled();
+            stats.on_request_pooled();
             return req;
         }
-        self.stats.on_request_allocated();
+        stats.on_request_allocated();
         if granted {
             Arc::new(LockRequest::new_granted(id, agent.slot(), txn, mode))
         } else {
@@ -412,7 +416,9 @@ impl LockManager {
                 {
                     let mut q = head.latch_untracked();
                     if q.invalidate_inherited(&req) {
-                        self.stats.on_sli_invalidated(head.scope_id());
+                        self.stats
+                            .agent(ts.agent_slot)
+                            .on_sli_invalidated(head.scope_id());
                     }
                 }
                 agent.remove(&req);
@@ -434,13 +440,13 @@ impl LockManager {
         }
         if let Some(h) = agent.memoized_head(id) {
             if !h.grant_word().is_zombie() {
-                self.stats.on_headcache_hit();
+                self.stats.agent(agent.slot()).on_headcache_hit();
                 return Arc::clone(h);
             }
             agent.evict_head(id);
         }
         let head = self.table.get_or_create(id);
-        self.stats.on_headcache_miss();
+        self.stats.agent(agent.slot()).on_headcache_miss();
         agent.memoize_head(id, Arc::clone(&head));
         head
     }
@@ -454,7 +460,8 @@ impl LockManager {
         id: LockId,
         mode: LockMode,
     ) -> Result<(), LockError> {
-        self.stats.on_lock_request();
+        let stats = self.stats.agent(ts.agent_slot);
+        stats.on_lock_request();
         let track = mode.is_intent() && id.level().is_page_or_higher();
         let fp = self.config.fastpath;
         // The fast path is attempted for group-compatible modes unless
@@ -464,7 +471,7 @@ impl LockManager {
         // be inherited).
         let mut try_fast = fp.enabled && mode.fast_group_index().is_some();
         if try_fast && agent.fastpath_should_sample(fp.sample_every) {
-            self.stats.on_fastpath_sampled();
+            stats.on_fastpath_sampled();
             try_fast = false;
         }
         loop {
@@ -476,10 +483,10 @@ impl LockManager {
                         // No latch, no LockRequest, no queue entry: the
                         // txn cache records a lightweight fast entry and
                         // release is a counter decrement.
-                        self.stats.on_fastpath_granted(head.scope_id());
+                        stats.on_fastpath_granted(head.scope_id());
                         head.publish_fast_hint(ts.agent_slot);
                         if track {
-                            self.stats.on_ancestor_acquire(true);
+                            stats.on_ancestor_acquire(true);
                         }
                         ts.insert_fast(mode, head);
                         return Ok(());
@@ -489,11 +496,11 @@ impl LockManager {
                         continue; // raced with head removal; re-probe
                     }
                     FastAcquire::Conflict => {
-                        self.stats.on_fastpath_fallback();
+                        stats.on_fastpath_fallback();
                         try_fast = false;
                     }
                     FastAcquire::Contended => {
-                        self.stats.on_fastpath_retry_exhausted();
+                        stats.on_fastpath_retry_exhausted();
                         try_fast = false;
                     }
                 }
@@ -547,7 +554,7 @@ impl LockManager {
                 }
             }
             if track {
-                self.stats.on_ancestor_acquire(false);
+                stats.on_ancestor_acquire(false);
             }
             ts.insert_owned(req, head);
             return Ok(());
@@ -562,7 +569,7 @@ impl LockManager {
         head: &Arc<LockHead>,
         mode: LockMode,
     ) -> Result<(), LockError> {
-        self.stats.on_upgrade();
+        self.stats.agent(ts.agent_slot).on_upgrade();
         let must_wait;
         {
             let mut q = head.latch();
@@ -604,8 +611,9 @@ impl LockManager {
         is_convert: bool,
     ) -> Result<(), LockError> {
         let _lock_wait = sli_profiler::enter(Category::LockWait);
-        self.stats.on_block();
         let slot = ts.agent_slot;
+        let stats = self.stats.agent(slot);
+        stats.on_block();
         let deadline = Instant::now() + self.config.lock_timeout;
         let mut blockers: Vec<u32> = Vec::with_capacity(8);
         // One digest allocation per blocked wait, reused across polls.
@@ -679,13 +687,13 @@ impl LockManager {
                 }
                 self.maybe_gc_head(head);
                 return if deadlocked {
-                    self.stats.on_deadlock();
+                    stats.on_deadlock();
                     Err(LockError::Deadlock {
                         waiting_for: req.lock_id(),
                         mode,
                     })
                 } else {
-                    self.stats.on_timeout();
+                    stats.on_timeout();
                     Err(LockError::Timeout {
                         waiting_for: req.lock_id(),
                         mode,
@@ -700,6 +708,7 @@ impl LockManager {
     /// previous inherited list (unused / invalidated entries).
     pub fn end_txn(&self, ts: &mut TxnLockState, agent: &mut AgentSliState, commit: bool) {
         let _work = sli_profiler::enter(Category::Work(Component::LockManager));
+        let stats = self.stats.agent(agent.slot());
         let sli_cfg = &self.config.sli;
         // Requests released during this pass, recycled into the agent's
         // free pool at the very end — only after `ts.cache` drops its
@@ -741,7 +750,7 @@ impl LockManager {
                             req.unused_generations.store(unused + 1, Ordering::Relaxed);
                             agent.inherited.push((req, head));
                         } else {
-                            self.discard_inherited(&req, &head);
+                            self.discard_inherited(stats, &req, &head);
                             released.push(req);
                         }
                     }
@@ -801,7 +810,7 @@ impl LockManager {
         if commit {
             for (i, e) in ts.requests.iter().enumerate() {
                 let inherited = decisions.get(i).copied().unwrap_or(false);
-                self.record_census(e.id(), e.mode(), e.head(), inherited);
+                self.record_census(stats, e.id(), e.mode(), e.head(), inherited);
             }
         }
 
@@ -827,7 +836,7 @@ impl LockManager {
                 // traffic to the latched path during the transition.
                 head.grant_word().inc_inherited();
                 if req.begin_inheritance() {
-                    self.stats.on_sli_inherited(head.scope_id());
+                    stats.on_sli_inherited(head.scope_id());
                     agent.inherited.push((req, head));
                 } else {
                     // Unreachable by design (the status was re-checked as
@@ -846,9 +855,9 @@ impl LockManager {
         }
 
         if commit {
-            self.stats.on_commit();
+            stats.on_commit();
         } else {
-            self.stats.on_abort();
+            stats.on_abort();
         }
         ts.cache.clear();
         ts.aborted = false;
@@ -865,10 +874,11 @@ impl LockManager {
     /// its slot. Must be called before the agent thread exits, or its
     /// inherited locks would linger until invalidated.
     pub fn retire_agent(&self, agent: &mut AgentSliState) {
+        let stats = self.stats.agent(agent.slot());
         let leftovers = std::mem::take(&mut agent.inherited);
         for (req, head) in leftovers {
             if req.status() == RequestStatus::Inherited {
-                self.discard_inherited(&req, &head);
+                self.discard_inherited(stats, &req, &head);
             }
         }
         agent.clear_head_memo();
@@ -876,7 +886,14 @@ impl LockManager {
         self.free_slots.lock().push(agent.slot());
     }
 
-    fn record_census(&self, id: LockId, mode: LockMode, head: &LockHead, inherited: bool) {
+    fn record_census(
+        &self,
+        stats: &AgentStats,
+        id: LockId,
+        mode: LockMode,
+        head: &LockHead,
+        inherited: bool,
+    ) {
         let sli_cfg = &self.config.sli;
         let hot = head.hot().is_hot(sli_cfg.hot_threshold, sli_cfg.hot_window);
         let class = if hot {
@@ -894,9 +911,9 @@ impl LockManager {
             LockClass::ColdHigh
         };
         if hot && !inherited && sli_cfg.enabled && head.policy().policy().inherits() {
-            self.stats.on_sli_hot_not_inherited();
+            stats.on_sli_hot_not_inherited();
         }
-        self.stats.on_census(class);
+        stats.on_census(class);
     }
 
     /// Early lock release at commit-LSN assignment: drop record-level S
@@ -917,6 +934,7 @@ impl LockManager {
             return;
         }
         let _work = sli_profiler::enter(Category::Work(Component::LockManager));
+        let stats = self.stats.agent(ts.agent_slot);
         let mut kept = Vec::with_capacity(ts.requests.len());
         for entry in std::mem::take(&mut ts.requests) {
             let early = entry.head().policy().policy().early_release_shared()
@@ -934,13 +952,13 @@ impl LockManager {
                 ts.cache.remove(&entry.id());
                 // These locks skip end_txn; census them here so locks/txn
                 // accounting stays comparable across policies.
-                self.record_census(entry.id(), entry.mode(), entry.head(), false);
+                self.record_census(stats, entry.id(), entry.mode(), entry.head(), false);
                 let scope = entry.head().scope_id();
                 match entry {
                     Entry::Queued(req, head) => self.release_one(&req, &head),
                     Entry::Fast(mode, head) => self.release_fast(ts.agent_slot, mode, &head),
                 }
-                self.stats.on_early_released(scope);
+                stats.on_early_released(scope);
             } else {
                 kept.push(entry);
             }
@@ -956,7 +974,7 @@ impl LockManager {
         let idx = mode.fast_group_index().expect("fast holds are group modes");
         head.clear_fast_hint(slot);
         if head.grant_word().fast_release(idx) {
-            self.stats.on_fastpath_slow_release();
+            self.stats.agent(slot).on_fastpath_slow_release();
             let mut q = head.latch_untracked();
             q.grant_pass(&self.stats);
         }
@@ -978,7 +996,7 @@ impl LockManager {
     /// transaction ... pays the cost of releasing the lock which the
     /// previous transaction avoided" — charged to SLI, not the lock
     /// manager).
-    fn discard_inherited(&self, req: &Arc<LockRequest>, head: &Arc<LockHead>) {
+    fn discard_inherited(&self, stats: &AgentStats, req: &Arc<LockRequest>, head: &Arc<LockHead>) {
         {
             // Untracked: dropping an unused hand-off is maintenance, not
             // demand — a cold sample here would cool the lock at the very
@@ -988,7 +1006,7 @@ impl LockManager {
             // cannot race (we are the owning agent).
             if req.status() == RequestStatus::Inherited {
                 q.release(req, &self.stats);
-                self.stats.on_sli_discarded(head.scope_id());
+                stats.on_sli_discarded(head.scope_id());
             }
         }
         self.maybe_gc_head(head);
@@ -1802,6 +1820,7 @@ mod policy_tests {
     use super::*;
     use crate::config::{DeadlockPolicy, SliConfig};
     use crate::id::TableId;
+    use crate::stats::ScopeStatsSnapshot;
     use std::time::Duration;
 
     fn rec(t: u32, s: u16) -> LockId {
@@ -2066,5 +2085,102 @@ mod policy_tests {
         m.end_txn(&mut ts, &mut agent, true);
         assert_eq!(m.stats().snapshot().census_total, 4, "commits still do");
         m.retire_agent(&mut agent);
+    }
+
+    /// Every counter of a snapshot, per-scope slices included, read off its
+    /// `Debug` text (no field name holds a digit) so none can be forgotten.
+    fn counters(s: &crate::LockStatsSnapshot) -> Vec<u64> {
+        format!("{s:?}")
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect()
+    }
+
+    /// Each agent bumps its own shard without an atomic RMW; nothing may be
+    /// lost when agents run side by side, a snapshot taken mid-run must be
+    /// field-wise monotone, and a slot that changes hands keeps its counts.
+    #[test]
+    fn sharded_stats_are_exact_monotone_and_survive_slot_reuse() {
+        const AGENTS: u64 = 4;
+        const GENERATIONS: u64 = 2;
+        const TXNS: u64 = 500;
+        const RECORDS: u64 = 4;
+        let mut cfg = LockManagerConfig::with_policy(crate::PolicyKind::Baseline);
+        // No heat-sampling fall-through and no CAS give-up: every fresh
+        // acquire below is exactly one grant-word grant, whatever the
+        // interleaving (the agents only ever take IS and S).
+        cfg.fastpath.sample_every = 0;
+        cfg.fastpath.retry_budget = u32::MAX;
+        let m = LockManager::new(cfg);
+        for _ in 0..GENERATIONS {
+            let start = std::sync::Barrier::new(AGENTS as usize + 1);
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..AGENTS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let mut agent = m.register_agent().unwrap();
+                            // The second generation runs on the slots (and
+                            // shards) the first retired.
+                            assert!(u64::from(agent.slot()) < AGENTS);
+                            let table = 1 + agent.slot();
+                            let mut ts = TxnLockState::new(agent.slot());
+                            start.wait();
+                            for t in 0..TXNS {
+                                m.begin(&mut ts, &mut agent);
+                                for r in 0..RECORDS as u16 {
+                                    m.lock(&mut ts, &mut agent, rec(table, r), LockMode::S)
+                                        .unwrap();
+                                }
+                                m.lock(&mut ts, &mut agent, rec(table, 0), LockMode::S)
+                                    .unwrap();
+                                m.end_txn(&mut ts, &mut agent, t % 5 != 0);
+                            }
+                            m.retire_agent(&mut agent);
+                        })
+                    })
+                    .collect();
+                start.wait();
+                let mut prev = m.stats().snapshot();
+                while !workers.iter().all(|w| w.is_finished()) {
+                    let next = m.stats().snapshot();
+                    assert!(
+                        counters(&prev)
+                            .iter()
+                            .zip(counters(&next))
+                            .all(|(a, b)| *a <= b),
+                        "a counter went backwards: {prev:?} then {next:?}"
+                    );
+                    prev = next;
+                }
+            });
+        }
+        let txns = AGENTS * GENERATIONS * TXNS;
+        let commits = txns / 5 * 4;
+        // Per transaction: database, table, page and RECORDS records are
+        // fresh; every later `lock` re-walks three cached ancestors, and
+        // the repeated record is a fourth hit.
+        let fresh = 3 + RECORDS;
+        let snap = m.stats().snapshot();
+        assert_eq!(snap.commits, commits);
+        assert_eq!(snap.aborts, txns - commits);
+        assert_eq!(snap.lock_requests, txns * fresh);
+        assert_eq!(snap.fastpath_granted, txns * fresh);
+        assert_eq!(snap.cache_hits, txns * (3 * (RECORDS - 1) + 4));
+        assert_eq!(snap.ancestor_acquires, txns * 3);
+        assert_eq!(snap.ancestor_bypassed, txns * 3);
+        // Only commits are censused, and nothing was ever latched, so
+        // nothing is hot.
+        assert_eq!(snap.census_total, commits * fresh);
+        assert_eq!(snap.census_cold_row, commits * RECORDS);
+        assert_eq!(snap.census_cold_high, commits * 3);
+        assert_eq!(snap.hot_locks(), 0);
+        assert_eq!(
+            snap.scopes,
+            [ScopeStatsSnapshot {
+                fastpath_granted: txns * fresh,
+                ..ScopeStatsSnapshot::default()
+            }]
+        );
+        assert_eq!(m.live_lock_heads(), 0);
     }
 }

@@ -25,8 +25,10 @@ pub enum LockClass {
 /// Per-scope attribution of the policy-relevant counters: which
 /// [`crate::PolicyMap`] scope inherited, reclaimed, invalidated, discarded,
 /// early-released, or fast-path-granted how much. Scope ids index the
-/// map's scope list (`0` = default).
+/// map's scope list (`0` = default). Line-aligned, so the separately boxed
+/// slices of two shards never share a cache line.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct ScopeCounters {
     inherited: AtomicU64,
     reclaimed: AtomicU64,
@@ -36,16 +38,38 @@ struct ScopeCounters {
     fastpath_granted: AtomicU64,
 }
 
-/// Monotonic counters maintained by the lock manager. All updates are
-/// relaxed single increments; snapshots are only approximately consistent,
-/// which is fine for reporting.
+/// Monotonic counters maintained by the lock manager, sharded so the
+/// acquire path never executes an atomic read-modify-write for bookkeeping.
+///
+/// Each agent slot owns one shard from [`crate::LockManager::register_agent`]
+/// to `retire_agent` and is its only writer, so its bumps are a plain load
+/// and store. The slot — and the shard with it — is handed on through the
+/// manager's free-slot mutex and never zeroed, so every counter stays
+/// monotone across reuse. One more shard takes the bumps made with no agent
+/// in hand (the queue-internal invalidations of a grant pass) by
+/// `fetch_add`. [`LockStats::snapshot`] sums the shards; snapshots are only
+/// approximately consistent across counters, which is fine for reporting.
 #[derive(Debug)]
 pub struct LockStats {
-    /// Per-scope attribution (fixed-capacity so standalone heads built
-    /// outside a manager can still record into scope 0).
-    scope_counters: Box<[ScopeCounters]>,
+    /// One shard per agent slot.
+    agents: Box<[AgentStats]>,
+    /// Bumps made with no agent in hand.
+    shared: AgentStats,
     /// Scopes actually configured; bounds the snapshot's `scopes` vector.
     n_scopes: usize,
+}
+
+/// One shard of a [`LockStats`]: every counter, written only by the agent
+/// that owns the shard's slot. Line-aligned so no two agents write the
+/// same cache line; 320 B plus 64 B per policy scope, so the default 256
+/// agents cost 96 KiB.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct AgentStats {
+    /// Per-scope attribution, one entry per configured scope (at least
+    /// one, so standalone heads built outside a manager can still record
+    /// into scope 0).
+    scope_counters: Box<[ScopeCounters]>,
     // Traffic.
     lock_requests: AtomicU64,
     cache_hits: AtomicU64,
@@ -107,84 +131,44 @@ pub struct LockStats {
     aborts: AtomicU64,
 }
 
+/// Increment a counter of a shard whose slot the caller owns.
+#[inline]
+fn bump(counter: &AtomicU64) {
+    // ordering: single writer — only the agent that owns the shard's slot
+    // stores to it, and ownership moves through the manager's free-slot
+    // mutex, so a plain load + store loses nothing. Readers (`snapshot`)
+    // tolerate staleness and nothing is published through the counter.
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
 macro_rules! bump {
     ($name:ident, $field:ident) => {
         #[doc = concat!("Increment the `", stringify!($field), "` counter.")]
         #[inline]
-        pub fn $name(&self) {
-            // ordering: monotonic statistics counter; readers tolerate
-            // staleness and no other memory is published through it.
-            self.$field.fetch_add(1, Ordering::Relaxed);
+        pub(crate) fn $name(&self) {
+            bump(&self.$field);
         }
     };
-}
-
-impl Default for LockStats {
-    fn default() -> Self {
-        Self::with_scopes(1)
-    }
 }
 
 macro_rules! bump_scoped {
     ($name:ident, $field:ident, $scope_field:ident) => {
         /// Increment the counter, attributing it to policy scope `scope`.
         #[inline]
-        pub fn $name(&self, scope: u16) {
-            // ordering: monotonic statistics counter (see `bump!`).
-            self.$field.fetch_add(1, Ordering::Relaxed);
+        pub(crate) fn $name(&self, scope: u16) {
+            bump(&self.$field);
             if let Some(s) = self.scope_counters.get(scope as usize) {
-                // ordering: per-scope shadow of the same counter.
-                s.$scope_field.fetch_add(1, Ordering::Relaxed);
+                bump(&s.$scope_field);
             }
         }
     };
 }
 
-impl LockStats {
-    /// Fresh zeroed counters tracking a single (default) policy scope.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fresh zeroed counters tracking `n_scopes` policy scopes.
-    pub fn with_scopes(n_scopes: usize) -> Self {
-        let n = n_scopes.clamp(1, MAX_POLICY_SCOPES);
-        LockStats {
-            scope_counters: (0..MAX_POLICY_SCOPES)
-                .map(|_| ScopeCounters::default())
-                .collect(),
-            n_scopes: n,
-            lock_requests: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            coverage_hits: AtomicU64::new(0),
-            upgrades: AtomicU64::new(0),
-            blocks: AtomicU64::new(0),
-            deadlocks: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            census_total: AtomicU64::new(0),
-            census_hot_heritable: AtomicU64::new(0),
-            census_hot_non_heritable: AtomicU64::new(0),
-            census_cold_row: AtomicU64::new(0),
-            census_cold_high: AtomicU64::new(0),
-            sli_inherited: AtomicU64::new(0),
-            sli_reclaimed: AtomicU64::new(0),
-            sli_invalidated: AtomicU64::new(0),
-            sli_discarded: AtomicU64::new(0),
-            sli_hot_not_inherited: AtomicU64::new(0),
-            early_released: AtomicU64::new(0),
-            requests_pooled: AtomicU64::new(0),
-            requests_allocated: AtomicU64::new(0),
-            fastpath_granted: AtomicU64::new(0),
-            fastpath_fallbacks: AtomicU64::new(0),
-            fastpath_retry_exhausted: AtomicU64::new(0),
-            fastpath_sampled: AtomicU64::new(0),
-            fastpath_slow_releases: AtomicU64::new(0),
-            headcache_hits: AtomicU64::new(0),
-            headcache_misses: AtomicU64::new(0),
-            ancestor_acquires: AtomicU64::new(0),
-            ancestor_bypassed: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
+impl AgentStats {
+    fn with_scopes(n_scopes: usize) -> Self {
+        AgentStats {
+            scope_counters: (0..n_scopes).map(|_| ScopeCounters::default()).collect(),
+            ..AgentStats::default()
         }
     }
 
@@ -216,79 +200,132 @@ impl LockStats {
     /// Record one page-or-higher intention acquisition and whether it
     /// bypassed the head latch.
     #[inline]
-    pub fn on_ancestor_acquire(&self, bypassed: bool) {
-        // ordering: monotonic statistics counter (see `bump!`).
-        self.ancestor_acquires.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn on_ancestor_acquire(&self, bypassed: bool) {
+        bump(&self.ancestor_acquires);
         if bypassed {
-            // ordering: monotonic statistics counter (see `bump!`).
-            self.ancestor_bypassed.fetch_add(1, Ordering::Relaxed);
+            bump(&self.ancestor_bypassed);
         }
     }
 
     /// Record one lock in the Figure 8 census.
     #[inline]
-    pub fn on_census(&self, class: LockClass) {
-        // ordering: monotonic statistics counter (see `bump!`).
-        self.census_total.fetch_add(1, Ordering::Relaxed);
-        let slot = match class {
+    pub(crate) fn on_census(&self, class: LockClass) {
+        bump(&self.census_total);
+        bump(match class {
             LockClass::HotHeritable => &self.census_hot_heritable,
             LockClass::HotNonHeritable => &self.census_hot_non_heritable,
             LockClass::ColdRow => &self.census_cold_row,
             LockClass::ColdHigh => &self.census_cold_high,
-        };
-        // ordering: monotonic statistics counter (see `bump!`).
-        slot.fetch_add(1, Ordering::Relaxed);
+        });
     }
 
-    /// Consistent-enough snapshot of all counters.
-    pub fn snapshot(&self) -> LockStatsSnapshot {
-        // ordering: relaxed loads throughout — the snapshot is advisory
-        // reporting; counters are independent and a torn cross-counter
-        // view is acceptable (each is individually monotone).
-        LockStatsSnapshot {
-            scopes: self.scope_counters[..self.n_scopes]
-                .iter()
-                .map(|s| ScopeStatsSnapshot {
-                    inherited: s.inherited.load(Ordering::Relaxed),
-                    reclaimed: s.reclaimed.load(Ordering::Relaxed),
-                    invalidated: s.invalidated.load(Ordering::Relaxed),
-                    discarded: s.discarded.load(Ordering::Relaxed),
-                    early_released: s.early_released.load(Ordering::Relaxed),
-                    fastpath_granted: s.fastpath_granted.load(Ordering::Relaxed),
-                })
-                .collect(),
-            lock_requests: self.lock_requests.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            coverage_hits: self.coverage_hits.load(Ordering::Relaxed),
-            upgrades: self.upgrades.load(Ordering::Relaxed),
-            blocks: self.blocks.load(Ordering::Relaxed),
-            deadlocks: self.deadlocks.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            census_total: self.census_total.load(Ordering::Relaxed),
-            census_hot_heritable: self.census_hot_heritable.load(Ordering::Relaxed),
-            census_hot_non_heritable: self.census_hot_non_heritable.load(Ordering::Relaxed),
-            census_cold_row: self.census_cold_row.load(Ordering::Relaxed),
-            census_cold_high: self.census_cold_high.load(Ordering::Relaxed),
-            sli_inherited: self.sli_inherited.load(Ordering::Relaxed),
-            sli_reclaimed: self.sli_reclaimed.load(Ordering::Relaxed),
-            sli_invalidated: self.sli_invalidated.load(Ordering::Relaxed),
-            sli_discarded: self.sli_discarded.load(Ordering::Relaxed),
-            sli_hot_not_inherited: self.sli_hot_not_inherited.load(Ordering::Relaxed),
-            early_released: self.early_released.load(Ordering::Relaxed),
-            requests_pooled: self.requests_pooled.load(Ordering::Relaxed),
-            requests_allocated: self.requests_allocated.load(Ordering::Relaxed),
-            fastpath_granted: self.fastpath_granted.load(Ordering::Relaxed),
-            fastpath_fallbacks: self.fastpath_fallbacks.load(Ordering::Relaxed),
-            fastpath_retry_exhausted: self.fastpath_retry_exhausted.load(Ordering::Relaxed),
-            fastpath_sampled: self.fastpath_sampled.load(Ordering::Relaxed),
-            fastpath_slow_releases: self.fastpath_slow_releases.load(Ordering::Relaxed),
-            headcache_hits: self.headcache_hits.load(Ordering::Relaxed),
-            headcache_misses: self.headcache_misses.load(Ordering::Relaxed),
-            ancestor_acquires: self.ancestor_acquires.load(Ordering::Relaxed),
-            ancestor_bypassed: self.ancestor_bypassed.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
+    /// Add this shard's counters into `s`.
+    fn add_to(&self, s: &mut LockStatsSnapshot) {
+        fn load(counter: &AtomicU64) -> u64 {
+            // ordering: the snapshot is advisory reporting; counters are
+            // independent and a torn cross-counter view is acceptable
+            // (each is individually monotone, so every sum over the shards
+            // is too).
+            counter.load(Ordering::Relaxed)
         }
+        for (sum, c) in s.scopes.iter_mut().zip(self.scope_counters.iter()) {
+            sum.inherited += load(&c.inherited);
+            sum.reclaimed += load(&c.reclaimed);
+            sum.invalidated += load(&c.invalidated);
+            sum.discarded += load(&c.discarded);
+            sum.early_released += load(&c.early_released);
+            sum.fastpath_granted += load(&c.fastpath_granted);
+        }
+        s.lock_requests += load(&self.lock_requests);
+        s.cache_hits += load(&self.cache_hits);
+        s.coverage_hits += load(&self.coverage_hits);
+        s.upgrades += load(&self.upgrades);
+        s.blocks += load(&self.blocks);
+        s.deadlocks += load(&self.deadlocks);
+        s.timeouts += load(&self.timeouts);
+        s.census_total += load(&self.census_total);
+        s.census_hot_heritable += load(&self.census_hot_heritable);
+        s.census_hot_non_heritable += load(&self.census_hot_non_heritable);
+        s.census_cold_row += load(&self.census_cold_row);
+        s.census_cold_high += load(&self.census_cold_high);
+        s.sli_inherited += load(&self.sli_inherited);
+        s.sli_reclaimed += load(&self.sli_reclaimed);
+        s.sli_invalidated += load(&self.sli_invalidated);
+        s.sli_discarded += load(&self.sli_discarded);
+        s.sli_hot_not_inherited += load(&self.sli_hot_not_inherited);
+        s.early_released += load(&self.early_released);
+        s.requests_pooled += load(&self.requests_pooled);
+        s.requests_allocated += load(&self.requests_allocated);
+        s.fastpath_granted += load(&self.fastpath_granted);
+        s.fastpath_fallbacks += load(&self.fastpath_fallbacks);
+        s.fastpath_retry_exhausted += load(&self.fastpath_retry_exhausted);
+        s.fastpath_sampled += load(&self.fastpath_sampled);
+        s.fastpath_slow_releases += load(&self.fastpath_slow_releases);
+        s.headcache_hits += load(&self.headcache_hits);
+        s.headcache_misses += load(&self.headcache_misses);
+        s.ancestor_acquires += load(&self.ancestor_acquires);
+        s.ancestor_bypassed += load(&self.ancestor_bypassed);
+        s.commits += load(&self.commits);
+        s.aborts += load(&self.aborts);
+    }
+}
+
+impl Default for LockStats {
+    fn default() -> Self {
+        Self::sharded(1, 1)
+    }
+}
+
+impl LockStats {
+    /// Fresh zeroed counters for one agent and the default policy scope.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fresh zeroed counters tracking `n_scopes` policy scopes, with a
+    /// private shard for each of `n_agents` agent slots.
+    pub fn sharded(n_scopes: usize, n_agents: usize) -> Self {
+        let n_scopes = n_scopes.clamp(1, MAX_POLICY_SCOPES);
+        LockStats {
+            agents: (0..n_agents)
+                .map(|_| AgentStats::with_scopes(n_scopes))
+                .collect(),
+            shared: AgentStats::with_scopes(n_scopes),
+            n_scopes,
+        }
+    }
+
+    /// The private shard of agent `slot`. Only the thread currently running
+    /// that agent may bump through it.
+    #[inline]
+    pub(crate) fn agent(&self, slot: u32) -> &AgentStats {
+        &self.agents[slot as usize]
+    }
+
+    /// Count an inherited request invalidated with no agent in hand (a
+    /// grant pass runs on whichever thread released or enqueued),
+    /// attributing it to policy scope `scope`.
+    #[inline]
+    pub fn on_sli_invalidated(&self, scope: u16) {
+        // ordering: monotonic statistics counter with many writers; readers
+        // tolerate staleness and no other memory is published through it.
+        self.shared.sli_invalidated.fetch_add(1, Ordering::Relaxed);
+        if let Some(s) = self.shared.scope_counters.get(scope as usize) {
+            // ordering: per-scope shadow of the same counter.
+            s.invalidated.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Consistent-enough snapshot of all counters, summed over the shards.
+    pub fn snapshot(&self) -> LockStatsSnapshot {
+        let mut s = LockStatsSnapshot {
+            scopes: vec![ScopeStatsSnapshot::default(); self.n_scopes],
+            ..LockStatsSnapshot::default()
+        };
+        for shard in self.agents.iter().chain([&self.shared]) {
+            shard.add_to(&mut s);
+        }
+        s
     }
 }
 
@@ -467,11 +504,12 @@ mod tests {
     #[test]
     fn census_buckets_sum_to_total() {
         let s = LockStats::new();
-        s.on_census(LockClass::HotHeritable);
-        s.on_census(LockClass::HotHeritable);
-        s.on_census(LockClass::ColdRow);
-        s.on_census(LockClass::HotNonHeritable);
-        s.on_census(LockClass::ColdHigh);
+        let a = s.agent(0);
+        a.on_census(LockClass::HotHeritable);
+        a.on_census(LockClass::HotHeritable);
+        a.on_census(LockClass::ColdRow);
+        a.on_census(LockClass::HotNonHeritable);
+        a.on_census(LockClass::ColdHigh);
         let snap = s.snapshot();
         assert_eq!(snap.census_total, 5);
         assert_eq!(
@@ -487,10 +525,10 @@ mod tests {
     #[test]
     fn delta_subtracts_windows() {
         let s = LockStats::new();
-        s.on_lock_request();
+        s.agent(0).on_lock_request();
         let a = s.snapshot();
-        s.on_lock_request();
-        s.on_commit();
+        s.agent(0).on_lock_request();
+        s.agent(0).on_commit();
         let b = s.snapshot();
         let d = b.delta(&a);
         assert_eq!(d.lock_requests, 1);
@@ -505,14 +543,18 @@ mod tests {
 
     #[test]
     fn scoped_counters_attribute_to_their_scope_and_the_global_total() {
-        let s = LockStats::with_scopes(3);
-        s.on_sli_inherited(0);
-        s.on_sli_inherited(1);
-        s.on_sli_inherited(1);
-        s.on_sli_reclaimed(2);
-        s.on_fastpath_granted(1);
+        let s = LockStats::sharded(3, 2);
+        let (a, b) = (s.agent(0), s.agent(1));
+        a.on_sli_inherited(0);
+        a.on_sli_inherited(1);
+        b.on_sli_inherited(1);
+        b.on_sli_reclaimed(2);
+        a.on_fastpath_granted(1);
         // Out-of-range scope ids still count globally (defensive).
-        s.on_sli_inherited(9999);
+        a.on_sli_inherited(9999);
+        // The agent-less bump lands in the same totals.
+        s.on_sli_invalidated(2);
+        b.on_sli_invalidated(2);
         let snap = s.snapshot();
         assert_eq!(snap.scopes.len(), 3);
         assert_eq!(snap.sli_inherited, 4);
@@ -521,9 +563,11 @@ mod tests {
         assert_eq!(snap.scopes[2].inherited, 0);
         assert_eq!(snap.scopes[2].reclaimed, 1);
         assert_eq!(snap.scopes[1].fastpath_granted, 1);
+        assert_eq!(snap.sli_invalidated, 2);
+        assert_eq!(snap.scopes[2].invalidated, 2);
 
         let before = snap.clone();
-        s.on_sli_inherited(1);
+        b.on_sli_inherited(1);
         let after = s.snapshot();
         let d = after.delta(&before);
         assert_eq!(d.sli_inherited, 1);
@@ -535,13 +579,24 @@ mod tests {
     fn census_fractions_sum_to_one() {
         let s = LockStats::new();
         for _ in 0..10 {
-            s.on_census(LockClass::ColdRow);
+            s.agent(0).on_census(LockClass::ColdRow);
         }
         for _ in 0..30 {
-            s.on_census(LockClass::HotHeritable);
+            s.agent(0).on_census(LockClass::HotHeritable);
         }
         let (hh, hn, cr, ch) = s.snapshot().census_fractions();
         assert!((hh + hn + cr + ch - 1.0).abs() < 1e-9);
         assert!((hh - 0.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn default_shape_fits_the_documented_budget() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(align_of::<AgentStats>(), 64);
+        assert_eq!(align_of::<ScopeCounters>(), 64);
+        let shard = size_of::<AgentStats>() + size_of::<ScopeCounters>();
+        assert_eq!(shard, 384);
+        // 256 agents and the shared shard.
+        assert!(257 * shard < 128 * 1024);
     }
 }

@@ -33,7 +33,7 @@ impl Latch {
     #[inline]
     pub fn acquire(&self) -> LatchGuard<'_> {
         if self.raw.try_lock() {
-            self.stats.record(false);
+            self.stats.record_exclusive(false);
             return LatchGuard {
                 latch: self,
                 contended: false,
@@ -42,13 +42,14 @@ impl Latch {
         // Contended slow path: adaptive spin, then queued parking. The
         // whole wait is charged to `LatchWait(component)`; the spin/park
         // split is recorded separately so reports can tell busy-waiting
-        // from descheduled waiting.
-        self.stats.record(true);
+        // from descheduled waiting. Counted once the latch is held, like
+        // every other bump of the acquisition counters.
         let profile;
         {
             let _wait = sli_profiler::enter(Category::LatchWait(self.component));
             profile = self.raw.lock_profiled();
         }
+        self.stats.record_exclusive(true);
         self.stats.record_wait(profile.spins, profile.parks);
         LatchGuard {
             latch: self,
@@ -60,7 +61,7 @@ impl Latch {
     #[inline]
     pub fn try_acquire(&self) -> Option<LatchGuard<'_>> {
         if self.raw.try_lock() {
-            self.stats.record(false);
+            self.stats.record_exclusive(false);
             Some(LatchGuard {
                 latch: self,
                 contended: false,
@@ -136,6 +137,33 @@ mod tests {
         }
         let _ = latch.try_acquire();
         assert_eq!(latch.stats().acquires(), 6);
+    }
+
+    /// The counters are bumped with a plain load + store under the latch;
+    /// racing acquirers (contended and not) must lose nothing.
+    #[test]
+    fn racing_acquirers_count_every_acquire() {
+        const THREADS: u64 = 4;
+        const PER: u64 = 5_000;
+        let latch = Latch::new(Component::Other);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..PER {
+                        let tried = if i % 2 == 0 {
+                            None
+                        } else {
+                            latch.try_acquire()
+                        };
+                        let _g = tried.unwrap_or_else(|| latch.acquire());
+                    }
+                });
+            }
+        });
+        assert_eq!(latch.stats().acquires(), THREADS * PER);
+        assert!(latch.stats().contended() <= latch.stats().acquires());
     }
 
     #[test]

@@ -30,18 +30,18 @@ impl RwLatch {
     #[inline]
     pub fn read(&self) -> RwReadGuard<'_> {
         if self.raw.try_lock_shared() {
-            self.stats.record(false);
+            self.stats.record_shared(false);
             return RwReadGuard {
                 latch: self,
                 contended: false,
             };
         }
-        self.stats.record(true);
         let profile;
         {
             let _wait = sli_profiler::enter(Category::LatchWait(self.component));
             profile = self.raw.lock_shared_profiled();
         }
+        self.stats.record_shared(true);
         self.stats.record_wait(profile.spins, profile.parks);
         RwReadGuard {
             latch: self,
@@ -53,18 +53,18 @@ impl RwLatch {
     #[inline]
     pub fn write(&self) -> RwWriteGuard<'_> {
         if self.raw.try_lock_exclusive() {
-            self.stats.record(false);
+            self.stats.record_exclusive(false);
             return RwWriteGuard {
                 latch: self,
                 contended: false,
             };
         }
-        self.stats.record(true);
         let profile;
         {
             let _wait = sli_profiler::enter(Category::LatchWait(self.component));
             profile = self.raw.lock_exclusive_profiled();
         }
+        self.stats.record_exclusive(true);
         self.stats.record_wait(profile.spins, profile.parks);
         RwWriteGuard {
             latch: self,
@@ -170,5 +170,32 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(15));
         drop(w);
         assert!(h.join().unwrap());
+    }
+
+    /// Readers bump the acquisition counter with an atomic add, writers
+    /// with a plain store under the latch; racing both must lose nothing.
+    #[test]
+    fn mixed_readers_and_writers_count_every_acquire() {
+        const THREADS: u64 = 4;
+        const PER: u64 = 5_000;
+        let latch = RwLatch::new(Component::Storage);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (latch, start) = (&latch, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER {
+                        if (i + t) % 3 == 0 {
+                            let _w = latch.write();
+                        } else {
+                            let _r = latch.read();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(latch.stats().acquires(), THREADS * PER);
+        assert!(latch.stats().contended() <= latch.stats().acquires());
     }
 }

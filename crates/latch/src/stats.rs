@@ -26,9 +26,30 @@ impl LatchStats {
         Self::default()
     }
 
-    /// Record one acquisition and whether it contended.
+    /// Record one acquisition, and whether it contended, by a thread that
+    /// now holds the latch **exclusively**: the latch makes it the only
+    /// writer, so the bump is a plain load and store, not an atomic
+    /// read-modify-write on a line every acquirer of the latch shares.
     #[inline]
-    pub fn record(&self, contended: bool) {
+    pub(crate) fn record_exclusive(&self, contended: bool) {
+        // ordering: single writer at a time — every bump of these two
+        // counters is made while holding the latch (shared holders use
+        // `record_shared`, and can never overlap an exclusive one), whose
+        // acquire/release orders successive writers. Readers tolerate
+        // staleness and nothing is published through the counters.
+        let a = self.acquires.load(Ordering::Relaxed);
+        self.acquires.store(a + 1, Ordering::Relaxed); // ordering: see above.
+        if contended {
+            let c = self.contended.load(Ordering::Relaxed); // ordering: see above.
+            self.contended.store(c + 1, Ordering::Relaxed); // ordering: see above.
+        }
+    }
+
+    /// Record one acquisition, and whether it contended, by a thread that
+    /// now holds the latch in **shared** mode: other shared holders bump
+    /// concurrently, so this is an atomic add.
+    #[inline]
+    pub(crate) fn record_shared(&self, contended: bool) {
         // ordering: monotonic statistics counters; readers tolerate
         // staleness and nothing is published through them.
         self.acquires.fetch_add(1, Ordering::Relaxed);
@@ -41,8 +62,9 @@ impl LatchStats {
     /// parks. Distinguishes the two halves of the `LatchWait` profiler
     /// attribution (spinning burns the core; parking cedes it).
     #[inline]
-    pub fn record_wait(&self, spins: u32, parks: u32) {
-        // ordering: statistics counters (see `record`).
+    pub(crate) fn record_wait(&self, spins: u32, parks: u32) {
+        // ordering: statistics counters (see `record_shared`); contended
+        // acquisitions are rare enough to keep the atomic add.
         if spins > 0 {
             self.spins.fetch_add(u64::from(spins), Ordering::Relaxed); // ordering: see above.
         }
@@ -99,10 +121,10 @@ mod tests {
     #[test]
     fn ratio_reflects_recorded_mix() {
         let s = LatchStats::new();
-        s.record(false);
-        s.record(true);
-        s.record(true);
-        s.record(false);
+        s.record_exclusive(false);
+        s.record_exclusive(true);
+        s.record_shared(true);
+        s.record_shared(false);
         assert_eq!(s.acquires(), 4);
         assert_eq!(s.contended(), 2);
         assert!((s.contention_ratio() - 0.5).abs() < 1e-12);

@@ -14,6 +14,11 @@
 //! frames — time spent inside a nested scope is attributed to the innermost
 //! category only.
 //!
+//! Scopes are compiled into every layer but only measure inside a
+//! *window*: [`reset`] arms the calling thread, [`take_tally`] disarms it,
+//! and outside a window [`enter`] is a single thread-local flag test. An
+//! engine nobody is profiling pays nothing for being profilable.
+//!
 //! # Example
 //!
 //! ```

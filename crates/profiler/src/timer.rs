@@ -7,8 +7,13 @@
 //! category and the outer one resumes. Outside any scope, time is simply not
 //! attributed (the harness brackets measurement windows with [`reset`] /
 //! [`take_tally`] and computes unaccounted time as `wall * threads - total`).
+//!
+//! Scopes only measure inside such a window. [`reset`] arms the calling
+//! thread and [`take_tally`] disarms it; on a disarmed thread [`enter`] is
+//! one thread-local flag test — no clock read, no borrow, no stack push —
+//! so code that nobody is profiling does not pay for its scopes.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
 use crate::categories::Category;
@@ -22,6 +27,9 @@ struct ThreadProf {
     last: Instant,
     /// Suspended outer categories.
     stack: Vec<Option<Category>>,
+    /// Id of the open window; every [`reset`] and [`take_tally`] moves it
+    /// on, so a guard from an earlier window can tell it is stale. Never 0.
+    window: u32,
 }
 
 impl ThreadProf {
@@ -31,7 +39,17 @@ impl ThreadProf {
             current: None,
             last: Instant::now(),
             stack: Vec::with_capacity(16),
+            window: 1,
         }
+    }
+
+    /// Close the current window: open scopes are forgotten (their guards
+    /// become stale) and the clock restarts.
+    fn next_window(&mut self, now: Instant) {
+        self.window = self.window.checked_add(1).unwrap_or(1);
+        self.current = None;
+        self.stack.clear();
+        self.last = now;
     }
 
     #[inline]
@@ -45,6 +63,10 @@ impl ThreadProf {
 }
 
 thread_local! {
+    /// Whether this thread is inside a `reset()` .. `take_tally()` window.
+    /// Const-initialised and `Drop`-free, so the test in [`enter`] is a
+    /// plain thread-local load with no lazy-init branch.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
     static PROF: RefCell<ThreadProf> = RefCell::new(ThreadProf::new());
 }
 
@@ -52,21 +74,32 @@ thread_local! {
 /// on drop.
 #[must_use = "dropping the guard immediately ends the profiled scope"]
 pub struct Guard {
+    /// The window this scope was pushed in; 0 for a scope entered on a
+    /// disarmed thread, which pushed nothing and so must pop nothing.
+    window: u32,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
-/// Begin attributing time to `cat` until the returned guard drops.
+/// Begin attributing time to `cat` until the returned guard drops. Free
+/// (and unmeasured) on a thread that is not inside a [`reset`] ..
+/// [`take_tally`] window.
 #[inline]
 pub fn enter(cat: Category) -> Guard {
-    PROF.with(|p| {
-        let mut p = p.borrow_mut();
-        let now = Instant::now();
-        p.charge_elapsed(now);
-        let prev = p.current;
-        p.stack.push(prev);
-        p.current = Some(cat);
-    });
+    let window = if ARMED.with(Cell::get) {
+        PROF.with(|p| {
+            let mut p = p.borrow_mut();
+            let now = Instant::now();
+            p.charge_elapsed(now);
+            let prev = p.current;
+            p.stack.push(prev);
+            p.current = Some(cat);
+            p.window
+        })
+    } else {
+        0
+    };
     Guard {
+        window,
         _not_send: std::marker::PhantomData,
     }
 }
@@ -74,32 +107,44 @@ pub fn enter(cat: Category) -> Guard {
 impl Drop for Guard {
     #[inline]
     fn drop(&mut self) {
+        if self.window == 0 {
+            return;
+        }
         PROF.with(|p| {
             let mut p = p.borrow_mut();
-            let now = Instant::now();
-            p.charge_elapsed(now);
-            p.current = p.stack.pop().unwrap_or(None);
+            // A window edge since `enter` already forgot this scope:
+            // popping would unbalance the new window's stack, and the
+            // slice up to now was only half measured.
+            if p.window == self.window {
+                let now = Instant::now();
+                p.charge_elapsed(now);
+                p.current = p.stack.pop().unwrap_or(None);
+            }
         });
     }
 }
 
-/// Zero this thread's tally and restart the clock. Call at the start of a
-/// measurement window.
+/// Open a measurement window on this thread: zero its tally, restart the
+/// clock and arm [`enter`]. Scopes already open are not part of the window.
 pub fn reset() {
     PROF.with(|p| {
         let mut p = p.borrow_mut();
         p.tally = Tally::new();
-        p.last = Instant::now();
+        p.next_window(Instant::now());
     });
+    ARMED.with(|a| a.set(true));
 }
 
-/// Return this thread's tally (including time charged so far to the current
-/// open scope) and reset it. Call at the end of a measurement window.
+/// Close this thread's measurement window: return its tally (including
+/// time charged so far to the current open scope), reset it and disarm
+/// [`enter`] until the next [`reset`].
 pub fn take_tally() -> Tally {
+    ARMED.with(|a| a.set(false));
     PROF.with(|p| {
         let mut p = p.borrow_mut();
         let now = Instant::now();
         p.charge_elapsed(now);
+        p.next_window(now);
         std::mem::take(&mut p.tally)
     })
 }
@@ -143,6 +188,83 @@ mod tests {
         // All three categories appear (may be tiny but nonzero is not
         // guaranteed at ns resolution for empty scopes, so just check sanity).
         assert!(attributed < 1_000_000, "attributed = {attributed}");
+    }
+
+    fn spin_for(d: std::time::Duration) {
+        let start = Instant::now();
+        while start.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    const MS: std::time::Duration = std::time::Duration::from_millis(1);
+
+    #[test]
+    fn scopes_outside_a_window_are_inert() {
+        // A fresh thread has never armed; a thread that closed its window
+        // is disarmed again.
+        for closed_a_window in [false, true] {
+            let total = std::thread::spawn(move || {
+                if closed_a_window {
+                    reset();
+                    let _ = take_tally();
+                }
+                let _outer = enter(Category::Work(Component::Application));
+                let _inner = enter(Category::LatchWait(Component::LockManager));
+                spin_for(MS);
+                snapshot_tally().total()
+            })
+            .join()
+            .unwrap();
+            assert_eq!(total, 0, "closed_a_window = {closed_a_window}");
+        }
+    }
+
+    #[test]
+    fn guard_entered_before_reset_neither_charges_nor_pops() {
+        let _ = take_tally();
+        let early = enter(Category::IoWait);
+        reset();
+        let outer = enter(Category::Work(Component::Application));
+        spin_for(MS);
+        // Dropping the inert guard here must leave `outer` current.
+        drop(early);
+        spin_for(MS);
+        drop(outer);
+        let t = take_tally();
+        assert_eq!(t.get(Category::IoWait), 0);
+        let app = t.get(Category::Work(Component::Application));
+        assert!(app >= 2_000_000, "app = {app}");
+        assert_eq!(t.total(), app);
+    }
+
+    #[test]
+    fn guard_open_across_take_tally_is_forgotten() {
+        reset();
+        let stale = enter(Category::LockWait);
+        spin_for(MS);
+        // The open scope is charged up to the window's end...
+        let first = take_tally();
+        assert!(first.get(Category::LockWait) >= 1_000_000);
+        // ...and not at all in the next window, whose stack it must not pop.
+        reset();
+        let outer = enter(Category::Work(Component::Storage));
+        let inner = enter(Category::Work(Component::LogManager));
+        drop(stale);
+        spin_for(MS);
+        drop(inner);
+        spin_for(MS);
+        drop(outer);
+        let second = take_tally();
+        assert_eq!(second.get(Category::LockWait), 0);
+        assert!(second.get(Category::Work(Component::LogManager)) >= 1_000_000);
+        assert!(second.get(Category::Work(Component::Storage)) >= 1_000_000);
+        // A live guard dropped on a disarmed thread, its frame long gone.
+        reset();
+        let late = enter(Category::IoWait);
+        let _ = take_tally();
+        drop(late);
+        assert_eq!(snapshot_tally().total(), 0);
     }
 
     #[test]

@@ -16,10 +16,16 @@
 //! coordinated-omission trap where a stalled server pauses the clock).
 //!
 //! A run moves through three phases: **warm-up** (arrivals flow, windows
-//! render, nothing counts), **measure** (windows accumulate into the
+//! render, nothing counts), **measure** (arrivals count toward the
 //! summary), and **drain** (the pacer stops, workers finish the queued
 //! backlog, late completions still count). Soak mode is just a long
 //! measure phase — the phase machinery is identical.
+//!
+//! An arrival belongs to the phase it was *scheduled* in, on both sides of
+//! the ledger: `offered`/`shed` are booked by scheduled time, and so is
+//! every completion — a warm-up arrival served after the boundary never
+//! enters the summary, however late the workers run, so
+//! `completions == offered - shed` holds exactly once the backlog drains.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -107,7 +113,7 @@ pub struct TrafficReport {
     pub warmup_windows: Vec<WindowStats>,
     /// Measured + drain windows, contiguous from the measure boundary.
     pub windows: Vec<WindowStats>,
-    /// Aggregate over the measured windows (and drain completions).
+    /// Aggregate over every arrival scheduled in the measure phase.
     pub summary: Summary,
 }
 
@@ -182,9 +188,8 @@ pub fn run_traffic<W: OpenLoopWorkload>(
         windows: Vec::new(),
         summary: Summary::default(),
     };
-    let mut total_hist = Hist::new();
 
-    std::thread::scope(|s| {
+    let measured = std::thread::scope(|s| {
         // --- pacer ---------------------------------------------------
         {
             let queue = Arc::clone(&queue);
@@ -238,6 +243,7 @@ pub fn run_traffic<W: OpenLoopWorkload>(
         }
 
         // --- workers -------------------------------------------------
+        let mut workers = Vec::with_capacity(cfg.workers);
         for worker_id in 0..cfg.workers {
             let queue = Arc::clone(&queue);
             let mut rec = telemetry.recorder();
@@ -246,20 +252,31 @@ pub fn run_traffic<W: OpenLoopWorkload>(
                 .seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(worker_id as u64);
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let mut worker = workload.make_worker(worker_id, seed);
+                // This worker's share of the summary: every arrival
+                // scheduled in the measure phase, whenever it completes.
+                let mut measured = WindowCore::default();
                 while let Some(scheduled_ns) = queue.pop_wait() {
                     let outcome = workload.run_one(&mut worker);
                     let now = elapsed_ns(epoch);
                     let latency = now.saturating_sub(scheduled_ns);
-                    rec.record(now, outcome, latency);
+                    if scheduled_ns >= measure_start_ns {
+                        measured.record(outcome, latency);
+                        rec.record(now, outcome, latency);
+                    } else {
+                        // Windows show work as it completes, but a warm-up
+                        // arrival served late stays a warm-up completion.
+                        rec.record(now.min(measure_start_ns - 1), outcome, latency);
+                    }
                 }
                 rec.flush();
                 // ordering: Release pairs with the collector's Acquire
                 // load so our final flush is visible before it observes
                 // the pool as done.
                 active.fetch_sub(1, Ordering::Release);
-            });
+                measured
+            }));
         }
 
         // --- collector (this thread) --------------------------------
@@ -278,10 +295,12 @@ pub fn run_traffic<W: OpenLoopWorkload>(
             let drainable = now.saturating_sub(window_ns / 4) / window_ns;
             if drainable > next_wid || workers_done {
                 let upto = if workers_done { u64::MAX } else { drainable };
-                let (drained, late) = if workers_done {
-                    telemetry.drain_rest()
+                // Samples flushed behind the drain watermark miss their
+                // window; the summary does not depend on windows.
+                let drained = if workers_done {
+                    telemetry.drain_rest().0
                 } else {
-                    (telemetry.drain_upto(upto), WindowCore::default())
+                    telemetry.drain_upto(upto)
                 };
                 let mut cores: BTreeMap<u64, WindowCore> = drained.into_iter().collect();
                 let last = cores.keys().next_back().copied().unwrap_or(next_wid);
@@ -307,28 +326,12 @@ pub fn run_traffic<W: OpenLoopWorkload>(
                         d.window(&stats);
                     }
                     if wid >= warmup_windows {
-                        if let Some(h) = &core.hist {
-                            total_hist.merge(h);
-                        }
-                        report.summary.commits += core.commits;
-                        report.summary.user_fails += core.user_fails;
-                        report.summary.sys_aborts += core.sys_aborts;
                         report.windows.push(stats);
                     } else {
                         report.warmup_windows.push(stats);
                     }
                 }
                 next_wid = end + 1;
-                // Conservation: samples that beat the watermark still
-                // count toward the summary, just without a window.
-                if late.completions() > 0 {
-                    report.summary.commits += late.commits;
-                    report.summary.user_fails += late.user_fails;
-                    report.summary.sys_aborts += late.sys_aborts;
-                    if let Some(h) = &late.hist {
-                        total_hist.merge(h);
-                    }
-                }
             }
             if workers_done {
                 break;
@@ -344,10 +347,23 @@ pub fn run_traffic<W: OpenLoopWorkload>(
             // sli-lint: allow(sleep) — collector ticks on window edges
             std::thread::sleep(Duration::from_millis((cfg.window_ms / 4).max(5)));
         }
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("open-loop worker panicked"))
+            .collect::<Vec<WindowCore>>()
     });
 
     // --- summary -----------------------------------------------------
     let s = &mut report.summary;
+    let mut total_hist = Hist::new();
+    for core in &measured {
+        s.commits += core.commits;
+        s.user_fails += core.user_fails;
+        s.sys_aborts += core.sys_aborts;
+        if let Some(h) = &core.hist {
+            total_hist.merge(h);
+        }
+    }
     s.measure_secs = cfg.measure.as_secs_f64();
     // ordering: the scope has joined every thread; Relaxed reads see
     // the final counter values.
@@ -417,5 +433,49 @@ mod tests {
         assert!(!report.windows.is_empty());
         let windows_total: u64 = report.windows.iter().map(|w| w.completions()).sum();
         assert!(windows_total <= s.completions());
+    }
+
+    /// Every transaction busy-waits, so one worker falls behind the pacer.
+    struct Slow(Duration);
+
+    impl OpenLoopWorkload for Slow {
+        type Worker = ();
+        fn make_worker(&self, _id: usize, _seed: u64) {}
+        fn run_one(&self, _w: &mut ()) -> TxnOutcome {
+            let t0 = Instant::now();
+            while t0.elapsed() < self.0 {
+                std::hint::spin_loop();
+            }
+            TxnOutcome::Commit
+        }
+    }
+
+    #[test]
+    fn warmup_backlog_served_after_the_boundary_stays_out_of_the_summary() {
+        // 5000/s offered against ~2500/s of capacity: by the measure
+        // boundary ~250 warm-up arrivals are still queued, and all of them
+        // complete inside the measure phase.
+        let cfg = TrafficConfig {
+            label: "test".into(),
+            rate: 5000.0,
+            pattern: ArrivalPattern::Constant,
+            workers: 1,
+            queue_cap: 4096,
+            warmup: Duration::from_millis(100),
+            measure: Duration::from_millis(200),
+            window_ms: 100,
+            seed: 7,
+        };
+        let report = run_traffic(&Slow(Duration::from_micros(400)), &cfg, None);
+        let s = &report.summary;
+        assert_eq!(s.shed, 0);
+        assert_eq!(s.offered, 1000);
+        assert_eq!(s.completions(), s.offered - s.shed, "conservation");
+        assert_eq!(s.final_depth, 0, "backlog drained");
+        // The warm-up stragglers are not in the measured windows either.
+        let windows_total: u64 = report.windows.iter().map(|w| w.completions()).sum();
+        assert!(windows_total <= s.completions());
+        let warmup_total: u64 = report.warmup_windows.iter().map(|w| w.completions()).sum();
+        assert!(warmup_total <= 500);
     }
 }

@@ -56,6 +56,17 @@ impl WindowCore {
         self.commits + self.user_fails + self.sys_aborts
     }
 
+    /// Count one completion directly (a caller-owned aggregate that needs
+    /// no windowing, e.g. a worker's whole measured phase).
+    pub fn record(&mut self, outcome: TxnOutcome, latency_ns: u64) {
+        match outcome {
+            TxnOutcome::Commit => self.commits += 1,
+            TxnOutcome::UserFail => self.user_fails += 1,
+            TxnOutcome::SysAbort => self.sys_aborts += 1,
+        }
+        self.hist.get_or_insert_with(Hist::new).record(latency_ns);
+    }
+
     fn merge_acc(&mut self, acc: &Acc) {
         self.commits += acc.commits;
         self.user_fails += acc.user_fails;

@@ -227,7 +227,7 @@ pub struct LogStats {
     /// Appends that found the ring full and had to wait for a drain.
     pub reserve_waits: u64,
     /// Flushes run inline by a committer (the `try_lock` win) rather
-    /// than by the dedicated flusher thread.
+    /// than by the dedicated flusher thread; a subset of `flushes`.
     pub steals: u64,
 }
 
@@ -346,9 +346,13 @@ impl LogInner {
             if let Some(st) = self.flush.try_lock() {
                 // We are the flusher for this batch. The queue delivers
                 // our own verdict via `outcome` on the next lap.
-                // ordering: monotonic statistics counter.
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                let _ = self.run_flush(st);
+                let (_, _, batch) = self.run_flush(st);
+                if batch > 0 {
+                    // A win that finds the ring already drained wrote
+                    // nothing and is no steal, so `steals <= flushes`.
+                    // ordering: monotonic statistics counter.
+                    self.steals.fetch_add(1, Ordering::Relaxed);
+                }
                 continue;
             }
             // Someone else owns the device; ride their batch.
@@ -362,8 +366,9 @@ impl LogInner {
     /// uncovered waiters remain, hand the flusher role on — to the
     /// dedicated thread via the doorbell, or (steal mode) by unparking
     /// the lowest uncovered waiter to steal the role. Returns the flush
-    /// result and how many parked committers the wake pass covered.
-    fn run_flush(&self, mut st: MutexGuard<'_, FlushState>) -> (Result<Lsn, WalError>, u64) {
+    /// result, how many parked committers the wake pass covered, and the
+    /// bytes of the batch the flush counted in `flushes` (0 for none).
+    fn run_flush(&self, mut st: MutexGuard<'_, FlushState>) -> (Result<Lsn, WalError>, u64, u64) {
         let result = self.flush_locked(&mut st);
         let batch = st.scratch.len() as u64;
         drop(st);
@@ -375,7 +380,7 @@ impl LogInner {
         if remaining {
             self.signal_flusher();
         }
-        (result, woken)
+        (result, woken, batch)
     }
 
     /// One physical flush. Caller holds the flush lock via `st`.
@@ -391,6 +396,7 @@ impl LogInner {
             // Discard-drain: the device is dead, so completed bytes are
             // dropped without advancing the watermark — the fixed ring
             // must keep freeing space or appenders would wedge forever.
+            st.scratch.clear();
             return Err(WalError::Poisoned);
         }
         if st.scratch.is_empty() {
@@ -481,7 +487,7 @@ fn flusher_main(inner: Arc<LogInner>) {
                 // doorbell if its batch leaves waiters uncovered.
                 continue 'idle;
             };
-            let (result, woken) = inner.run_flush(st);
+            let (result, woken, _) = inner.run_flush(st);
             if result.is_err() {
                 continue 'idle;
             }
@@ -896,6 +902,37 @@ mod tests {
             stats.group_commits > 0,
             "wake passes should cover parked committers: {stats:?}"
         );
+    }
+
+    /// A committer that wins the flush `try_lock` just after another
+    /// flush covered it drains nothing; that is not a steal. With no
+    /// flusher thread every physical flush is some committer's, so the
+    /// empty wins used to push `steals` past `flushes`.
+    #[test]
+    fn steals_count_only_inline_flushes_that_wrote_a_batch() {
+        const THREADS: u64 = 4;
+        let log = LogManager::new(LogConfig {
+            flush_latency: Duration::ZERO,
+            flusher: FlusherMode::Steal,
+            ..LogConfig::default()
+        });
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (log, start) = (&log, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..20_000 {
+                        let txn = t * 1_000_000 + i;
+                        let c = log.append(LogRecord::commit(txn));
+                        log.commit(txn, c).unwrap();
+                    }
+                });
+            }
+        });
+        let stats = log.stats();
+        assert!(stats.steals > 0, "committers flush inline: {stats:?}");
+        assert!(stats.steals <= stats.flushes, "{stats:?}");
     }
 
     /// Steal mode: no background thread, committers hand the flusher

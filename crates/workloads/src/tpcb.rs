@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use sli_engine::{Database, Session, TableHandle};
+use sli_engine::{Database, LockMode, Session, TableHandle};
 
 use crate::encode::*;
 use crate::mix::{MixEntry, MixedWorkload, Outcome};
@@ -156,10 +156,18 @@ impl TpcB {
     /// via snapshots) commits it; an inconsistent cut rolls back as
     /// `UserAbort("snapshot-inconsistent")`, which the harness counts as
     /// a failure — making this transaction an online isolation check.
+    ///
+    /// Under 2PL the scans run beneath covering table `S` locks, taken in
+    /// the order `account_update` reaches the two tables: one queued wait
+    /// per table behind the writers in flight, instead of 2 + 20 x branches
+    /// record locks each of which can close a deadlock cycle with a writer
+    /// (the audit then loses nearly every retry). No-op under MVCC.
     pub fn branch_audit(&self, s: &Session) -> Outcome {
         let branches = self.branches;
         let tellers = branches * TELLERS_PER_BRANCH;
         Outcome::from_result(s.run(|txn| {
+            txn.lock_table(self.teller, LockMode::S)?;
+            txn.lock_table(self.branch, LockMode::S)?;
             let mut bb = 0i64;
             txn.scan_ordered(self.branch, 1, branches, branches as usize, |_, row| {
                 bb += get_i64(row, BALANCE_OFF);
@@ -177,10 +185,10 @@ impl TpcB {
 
     /// Reader-heavy analytic mix: mostly account updates with a steady
     /// stream of long branch-audit scans riding along. On the locked
-    /// backend every audit S-locks the entire branch and teller tables
-    /// record by record (colliding with every writer); on the MVCC
-    /// backend it reads a snapshot and acquires no locks at all —
-    /// exactly the contrast the `backend-matrix` experiment measures.
+    /// backend every audit S-locks the whole branch and teller tables
+    /// (stalling every writer while it scans); on the MVCC backend it
+    /// reads a snapshot and acquires no locks at all — exactly the
+    /// contrast the `backend-matrix` experiment measures.
     pub fn analytic_workload(self: &Arc<Self>) -> MixedWorkload {
         let upd = Arc::clone(self);
         let aud = Arc::clone(self);
