@@ -261,130 +261,47 @@ fn bench_grant_word_hot_head(c: &mut Criterion) {
     }
 }
 
-/// A raw lock that can be driven by the oversubscribed-contention bench:
-/// implemented both by the crate's parking [`parking_lot::RawMutex`] and by
-/// a preserved copy of the spin-then-sleep backoff it replaced, so the
-/// before/after comparison stays reproducible on any machine.
-trait BenchRawLock: Default + Send + Sync + 'static {
-    const NAME: &'static str;
-    fn lock(&self);
-    fn unlock(&self);
-}
-
-/// The pre-parking backoff loop, verbatim from the old vendored stand-in:
-/// bounded spin, bounded yield, then 50 µs timed sleeps. Kept only as the
-/// benchmark baseline — a sleeping waiter can only notice a release when
-/// its own timer fires, which is the oversubscription cliff the parking
-/// rewrite removes.
-#[derive(Default)]
-struct SleepBackoffMutex {
-    state: std::sync::atomic::AtomicUsize,
-}
-
-impl BenchRawLock for SleepBackoffMutex {
-    const NAME: &'static str = "sleep_backoff";
-
-    fn lock(&self) {
-        use std::sync::atomic::Ordering;
-        let mut attempt = 0u32;
-        while self
-            .state
-            .compare_exchange_weak(0, 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            if attempt < 64 {
-                std::hint::spin_loop();
-            } else if attempt < 128 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-            attempt = attempt.wrapping_add(1);
-        }
-    }
-
-    fn unlock(&self) {
-        self.state.store(0, std::sync::atomic::Ordering::Release);
-    }
-}
-
-struct ParkingMutex {
-    raw: parking_lot::RawMutex,
-}
-
-impl Default for ParkingMutex {
-    fn default() -> Self {
-        ParkingMutex {
-            raw: <parking_lot::RawMutex as parking_lot::lock_api::RawMutex>::INIT,
-        }
-    }
-}
-
-impl BenchRawLock for ParkingMutex {
-    const NAME: &'static str = "parking";
-
-    fn lock(&self) {
-        parking_lot::lock_api::RawMutex::lock(&self.raw);
-    }
-
-    fn unlock(&self) {
-        // SAFETY: the bench pairs every lock with exactly one unlock.
-        unsafe { parking_lot::lock_api::RawMutex::unlock(&self.raw) };
-    }
-}
-
 /// Contended-acquire latency with more threads than cores: 8 background
-/// threads each hold the lock for ~20 µs (exceeding any waiter's spin
-/// budget) with ~100 µs of think time between holds, while the measured
-/// thread hammers the lock. Think time keeps the CPU unsaturated so the
-/// measurement isolates *lock handoff* rather than raw scheduler
-/// starvation; compare p50s — on oversubscribed hosts the p99 of either
-/// variant is scheduler noise. A sleep-backoff waiter can only notice a
-/// release when its 50 µs timer happens to fire inside a free window
-/// (and under full saturation that mode is metastable, convoying into
-/// ms-scale tails); a parked waiter is woken by the release itself. One
-/// iteration = one acquire + critical section + release. EXPERIMENTS.md
-/// records the numbers.
+/// threads each hold the crate's parking [`parking_lot::RawMutex`] for
+/// ~20 µs (exceeding any waiter's spin budget) with ~100 µs of think time
+/// between holds, while the measured thread hammers the lock. Think time
+/// keeps the CPU unsaturated so the measurement isolates *lock handoff*
+/// rather than raw scheduler starvation; compare p50s — on oversubscribed
+/// hosts the p99 is scheduler noise. A parked waiter is woken by the
+/// release itself. One iteration = one acquire + critical section +
+/// release. EXPERIMENTS.md records the numbers.
 fn bench_contended_latch(c: &mut Criterion) {
+    use parking_lot::lock_api::RawMutex as _;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    fn run_one<L: BenchRawLock>(c: &mut Criterion) {
-        let lock = Arc::new(L::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut bg = Vec::new();
-        for _ in 0..8 {
-            let lock = Arc::clone(&lock);
-            let stop = Arc::clone(&stop);
-            bg.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    lock.lock();
-                    for _ in 0..2_000 {
-                        std::hint::spin_loop();
-                    }
-                    lock.unlock();
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-            }));
+    fn hold(lock: &parking_lot::RawMutex) {
+        lock.lock();
+        for _ in 0..2_000 {
+            std::hint::spin_loop();
         }
-        c.bench_function(
-            &format!("latch/contended_oversubscribed_{}", L::NAME),
-            |b| {
-                b.iter(|| {
-                    lock.lock();
-                    for _ in 0..2_000 {
-                        std::hint::spin_loop();
-                    }
-                    lock.unlock();
-                })
-            },
-        );
-        stop.store(true, Ordering::Relaxed);
-        for h in bg {
-            h.join().unwrap();
-        }
+        // SAFETY: paired with the `lock` just above on this thread.
+        unsafe { lock.unlock() };
     }
-    run_one::<SleepBackoffMutex>(c);
-    run_one::<ParkingMutex>(c);
+    let lock = Arc::new(parking_lot::RawMutex::INIT);
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut bg = Vec::new();
+    for _ in 0..8 {
+        let lock = Arc::clone(&lock);
+        let stop = Arc::clone(&stop);
+        bg.push(std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                hold(&lock);
+                std::thread::sleep(std::time::Duration::from_micros(100));
+            }
+        }));
+    }
+    c.bench_function("latch/contended_oversubscribed_parking", |b| {
+        b.iter(|| hold(&lock))
+    });
+    stop.store(true, Ordering::Relaxed);
+    for h in bg {
+        h.join().unwrap();
+    }
 }
 
 criterion_group!(

@@ -1,110 +1,37 @@
-//! A/B microbenchmark of the log front-end: the retired latched design
-//! (shared [`LogBuffer`] + a flush mutex every committer blocks on)
-//! against the shipping lock-free ring + parked committer queue
-//! ([`sli_wal::LogManager`]), at 1x / 2x / 4x the core count of
-//! committer threads over a simulated 50 us fsync.
+//! Committer-count sweep of the log front-end: the lock-free ring +
+//! parked committer queue ([`sli_wal::LogManager`]) at 1x / 2x / 4x the
+//! core count of committer threads over a simulated 50 us fsync.
 //!
 //! Reported per cell: append p50 (the reservation fast path), commit
 //! p95 (append commit record + wait for durability), and the mean
-//! group-commit size (commits per physical flush). The latched
-//! baseline's commit path is the pre-ring `LogManager::commit` logic
-//! verbatim: check the watermark, block on the flush mutex, re-check,
-//! drain + sleep the device latency. Numbers land in EXPERIMENTS.md.
+//! group-commit size (commits per physical flush). Numbers land in
+//! EXPERIMENTS.md.
 //!
 //! Knobs: `SLI_MICRO_WAL_COMMITS` (commits per thread, default 300),
 //! `SLI_MICRO_WAL_FSYNC_US` (simulated device latency, default 50).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::SampleStats;
-use parking_lot::Mutex;
-use sli_wal::{LogBuffer, LogConfig, LogManager, LogRecord, Lsn};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The pre-ring log manager, reconstructed as a baseline: appends
-/// serialize on the buffer latch, and *every* committer that finds the
-/// watermark short blocks on the flush mutex — the convoy the ring
-/// replaced.
-struct LatchedLog {
-    buffer: LogBuffer,
-    flush: Mutex<()>,
-    durable: AtomicU64,
-    flushes: AtomicU64,
-    commits: AtomicU64,
-    latency: Duration,
-}
-
-impl LatchedLog {
-    fn new(latency: Duration) -> Self {
-        LatchedLog {
-            buffer: LogBuffer::new(),
-            flush: Mutex::new(()),
-            durable: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            commits: AtomicU64::new(0),
-            latency,
-        }
-    }
-
-    fn append(&self, rec: &LogRecord) -> Lsn {
-        self.buffer.append(rec)
-    }
-
-    fn commit(&self, lsn: Lsn) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        loop {
-            if self.durable.load(Ordering::Acquire) >= lsn {
-                return;
-            }
-            let _g = self.flush.lock();
-            if self.durable.load(Ordering::Acquire) >= lsn {
-                return;
-            }
-            let (bytes, upto) = self.buffer.drain();
-            if !bytes.is_empty() {
-                std::thread::sleep(self.latency); // simulated fsync
-            }
-            self.flushes.fetch_add(1, Ordering::Relaxed);
-            self.durable.store(upto, Ordering::Release);
-        }
-    }
-}
+use sli_harness::env_u64;
+use sli_wal::{LogConfig, LogManager, LogRecord};
 
 struct Cell {
     append_p50_ns: f64,
     commit_p95_ns: f64,
-    commits: u64,
-    flushes: u64,
+    /// Mean commits per physical flush.
+    group: f64,
     wall: Duration,
-}
-
-fn group(c: &Cell) -> f64 {
-    if c.flushes > 0 {
-        c.commits as f64 / c.flushes as f64
-    } else {
-        0.0
-    }
 }
 
 /// Drive `threads` committers, each appending one update + one commit
 /// record then waiting for durability, `commits_per_thread` times.
-/// `append`/`commit` abstract over the two designs.
-fn drive<L: Send + Sync + 'static>(
-    log: Arc<L>,
-    threads: usize,
-    commits_per_thread: u64,
-    append: fn(&L, &LogRecord) -> Lsn,
-    commit: fn(&L, Lsn),
-    counters: fn(&L) -> (u64, u64),
-) -> Cell {
+fn drive(fsync: Duration, threads: usize, commits_per_thread: u64) -> Cell {
+    let log = Arc::new(LogManager::new(LogConfig {
+        flush_latency: fsync,
+        ..LogConfig::default()
+    }));
     let started = Instant::now();
     let mut handles = Vec::new();
     for t in 0..threads as u64 {
@@ -115,11 +42,12 @@ fn drive<L: Send + Sync + 'static>(
             let img = [t as u8; 48];
             for i in 0..commits_per_thread {
                 let a0 = Instant::now();
-                append(&log, &LogRecord::update(t + 1, 1, i as u32, 0, &img, &img));
+                log.append(LogRecord::update(t + 1, 1, i as u32, 0, &img, &img));
                 appends.push(a0.elapsed());
                 let c0 = Instant::now();
-                let lsn = append(&log, &LogRecord::commit(t * 1_000_000 + i + 1));
-                commit(&log, lsn);
+                let txn = t * 1_000_000 + i + 1;
+                let lsn = log.append(LogRecord::commit(txn));
+                log.commit(txn, lsn).expect("no faults armed");
                 commits.push(c0.elapsed());
             }
             (appends, commits)
@@ -133,12 +61,11 @@ fn drive<L: Send + Sync + 'static>(
         commits.extend(c);
     }
     let wall = started.elapsed();
-    let (ncommits, nflushes) = counters(&log);
+    let s = log.stats();
     Cell {
         append_p50_ns: SampleStats::from_samples(&appends).expect("samples").p50,
         commit_p95_ns: SampleStats::from_samples(&commits).expect("samples").p95,
-        commits: ncommits,
-        flushes: nflushes,
+        group: s.commits as f64 / s.flushes.max(1) as f64,
         wall,
     }
 }
@@ -157,52 +84,20 @@ fn main() {
         cores
     );
     println!(
-        "{:<8} {:>8} {:>12} {:>12} {:>8} {:>9}",
-        "mode", "threads", "append p50", "commit p95", "group", "wall ms"
+        "{:>8} {:>12} {:>12} {:>8} {:>9}",
+        "threads", "append p50", "commit p95", "group", "wall ms"
     );
 
     for mult in [1usize, 2, 4] {
         let threads = cores * mult;
-
-        let latched = drive(
-            Arc::new(LatchedLog::new(fsync)),
+        let cell = drive(fsync, threads, commits_per_thread);
+        println!(
+            "{:>8} {:>10.1}us {:>10.1}us {:>8.1} {:>9.1}",
             threads,
-            commits_per_thread,
-            |l, rec| l.append(rec),
-            |l, lsn| l.commit(lsn),
-            |l| {
-                (
-                    l.commits.load(Ordering::Relaxed),
-                    l.flushes.load(Ordering::Relaxed),
-                )
-            },
+            cell.append_p50_ns / 1e3,
+            cell.commit_p95_ns / 1e3,
+            cell.group,
+            cell.wall.as_secs_f64() * 1e3
         );
-
-        let ring = drive(
-            Arc::new(LogManager::new(LogConfig {
-                flush_latency: fsync,
-                ..LogConfig::default()
-            })),
-            threads,
-            commits_per_thread,
-            |l, rec| l.append(rec.clone()),
-            |l, lsn| l.commit(lsn, lsn).expect("no faults armed"),
-            |l| {
-                let s = l.stats();
-                (s.commits, s.flushes)
-            },
-        );
-
-        for (mode, cell) in [("latched", &latched), ("ring", &ring)] {
-            println!(
-                "{:<8} {:>8} {:>10.1}us {:>10.1}us {:>8.1} {:>9.1}",
-                mode,
-                threads,
-                cell.append_p50_ns / 1e3,
-                cell.commit_p95_ns / 1e3,
-                group(cell),
-                cell.wall.as_secs_f64() * 1e3
-            );
-        }
     }
 }

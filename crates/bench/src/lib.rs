@@ -1,20 +1,12 @@
 //! # sli-bench — benchmark targets for the SLI reproduction.
 //!
-//! This crate hosts two kinds of benchmarks (see `benches/`):
+//! This crate hosts its benchmarks in `benches/`:
 //!
 //! * Criterion microbenchmarks of the lock manager's hot paths
 //!   (`micro_lockmgr`): acquire/release round trips, the SLI reclaim CAS
 //!   versus a full lock-manager acquire, hash-table probes, and latch
-//!   acquisition.
-//! * One figure-regeneration bench per evaluation figure of the paper
-//!   (`fig1` … `fig11`, `harness = false`), each printing the same series
-//!   the paper plots. Scale via `SLI_BENCH_SECONDS` / `SLI_BENCH_MAX_AGENTS`
-//!   environment variables.
-
-/// Read an environment knob with a default, for bench scaling.
-pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+//!   acquisition; plus `micro_substrates` and the `micro_wal` log
+//!   committer sweep.
+//! * `figures` (`harness = false`) regenerates every evaluation figure of
+//!   the paper at a bench-friendly scale, printing the same series the
+//!   paper plots. Scale through the harness's `SLI_*` environment knobs.

@@ -617,10 +617,13 @@ impl Default for Builder {
 
 impl Builder {
     pub fn new() -> Self {
-        let bound = std::env::var("SLI_CHECK_PREEMPTIONS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2);
+        // A verifier bound, not an engine knob: CI raises it for the deep
+        // sweep. sli-lint: allow(env)
+        let bound = std::env::var("SLI_CHECK_PREEMPTIONS").map_or(2, |v| {
+            v.trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("SLI_CHECK_PREEMPTIONS={v:?} is not a number"))
+        });
         Builder {
             preemption_bound: bound,
             max_executions: 1_000_000,

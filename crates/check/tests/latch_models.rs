@@ -6,10 +6,9 @@
 //! bit, enqueue on the bucket, validate, sleep, and the unlock-side
 //! handoff.
 //!
-//! `SLI_LATCH_SPIN=0` is set before the first acquire so contended paths
-//! park immediately instead of burning schedule points in the adaptive
-//! spin loop (the spin iterations are pure delay — they add interleavings
-//! without adding behaviours).
+//! The `sli_check` build of the raw locks has a zero spin budget, so
+//! contended paths park immediately instead of burning schedule points in
+//! the adaptive spin loop.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -18,21 +17,12 @@ use sli_check::{sync::AtomicBool, thread, Builder};
 use sli_latch::{Latch, RwLatch};
 use sli_profiler::Component;
 
-/// Park immediately on contention: the spin budget is cached in a
-/// `OnceLock` on first use, so set the env var before any latch is
-/// touched. The test harness runs on one thread (and model executions are
-/// serialized by the checker), so the set cannot race a read.
-fn spin0() {
-    std::env::set_var("SLI_LATCH_SPIN", "0");
-}
-
 /// Mutual exclusion through the full contended path: with a zero spin
 /// budget both threads race straight into PARKED-bit CAS, bucket enqueue
 /// and handoff. The critical-section flag would trip if any interleaving
 /// ever admitted two holders.
 #[test]
 fn latch_mutual_exclusion_through_the_parked_path() {
-    spin0();
     let report = Builder::new().check(|| {
         let latch = Arc::new(Latch::new(Component::LockManager));
         let in_cs = Arc::new(AtomicBool::new(false));
@@ -68,7 +58,6 @@ fn latch_mutual_exclusion_through_the_parked_path() {
 /// none may corrupt the tracking counters either).
 #[test]
 fn rwlatch_readers_exclude_the_writer() {
-    spin0();
     let report = Builder::new().check(|| {
         let latch = Arc::new(RwLatch::new(Component::LockManager));
         let writer_in = Arc::new(AtomicBool::new(false));
@@ -120,7 +109,6 @@ fn rwlatch_readers_exclude_the_writer() {
 /// handoff wake would strand the second writer forever).
 #[test]
 fn rwlatch_writer_handoff_terminates_in_all_schedules() {
-    spin0();
     let report = Builder::new().check(|| {
         let latch = Arc::new(RwLatch::new(Component::LockManager));
 

@@ -136,7 +136,7 @@ fn no_lost_wakeup_between_advance_and_park() {
 
         // The flusher's durable-publish + wake, racing the park above.
         q.advance(10);
-        q.wake(false);
+        q.wake();
         assert_eq!(committer.join().unwrap(), Ok(()));
     });
     println!(
@@ -174,7 +174,7 @@ fn poison_wakes_every_parked_committer() {
 
         // The failing flush: record the failure, then sweep everyone.
         q.poison(1, 5, 15);
-        q.wake(false);
+        q.wake();
 
         assert_eq!(
             in_batch.join().unwrap(),

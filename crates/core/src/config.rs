@@ -10,12 +10,11 @@ use crate::scope::PolicyMap;
 /// Tuning knobs for Speculative Lock Inheritance.
 ///
 /// The defaults implement exactly the paper's five criteria (Section 4.2);
-/// the boolean overrides exist for the ablation experiments (`abl1` in
-/// DESIGN.md) that disable one criterion at a time.
+/// the boolean overrides exist for the `ablation-criteria` experiment, which
+/// disables one criterion at a time. SLI itself is switched off by
+/// choosing [`PolicyKind::Baseline`], not here.
 #[derive(Clone, Debug)]
 pub struct SliConfig {
-    /// Master switch. `false` gives the unmodified baseline lock manager.
-    pub enabled: bool,
     /// Criterion 2: a lock is "hot" when at least this fraction of the most
     /// recent [`SliConfig::hot_window`] latch acquisitions on its lock head
     /// contended. The paper calls this "a tunable threshold".
@@ -46,7 +45,6 @@ pub struct SliConfig {
 impl Default for SliConfig {
     fn default() -> Self {
         SliConfig {
-            enabled: true,
             hot_threshold: 0.25,
             hot_window: 16,
             min_level: LockLevel::Page,
@@ -55,16 +53,6 @@ impl Default for SliConfig {
             require_parent: true,
             hysteresis: 0,
             max_inherited_per_txn: 64,
-        }
-    }
-}
-
-impl SliConfig {
-    /// A baseline configuration with SLI disabled.
-    pub fn disabled() -> Self {
-        SliConfig {
-            enabled: false,
-            ..SliConfig::default()
         }
     }
 }
@@ -78,8 +66,7 @@ pub struct FastPathConfig {
     /// for the `micro_lockmgr` and `grant-word` experiments.
     pub enabled: bool,
     /// CAS retries before a contended fast acquire falls back to the
-    /// latched path. Defaults to the `SLI_FASTPATH_RETRY` environment
-    /// variable, or 8.
+    /// latched path (default 8).
     pub retry_budget: u32,
     /// Every Nth fast-path-eligible acquire per agent falls through to the
     /// latched path so the active [`LockPolicy`]'s `on_acquire` heat
@@ -94,7 +81,7 @@ impl Default for FastPathConfig {
     fn default() -> Self {
         FastPathConfig {
             enabled: true,
-            retry_budget: env_knob("SLI_FASTPATH_RETRY", 8),
+            retry_budget: 8,
             sample_every: 64,
         }
     }
@@ -110,24 +97,6 @@ impl FastPathConfig {
     }
 }
 
-fn env_knob(name: &str, default: u32) -> u32 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Deadlock handling strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeadlockPolicy {
-    /// Dreadlocks-style digest propagation (Shore-MT's approach): waiting
-    /// threads publish the set of agents they transitively wait on; a thread
-    /// that finds itself in its own digest aborts.
-    Dreadlocks,
-    /// Rely on lock timeouts only.
-    TimeoutOnly,
-}
-
 /// Configuration for the lock manager.
 ///
 /// The inheritance strategy is a scoped [`PolicyMap`]: a default
@@ -137,6 +106,11 @@ pub enum DeadlockPolicy {
 /// behaviour) and refine it with the builder methods
 /// ([`LockManagerConfig::table_policy`], [`LockManagerConfig::level_policy`],
 /// ...).
+///
+/// Deadlocks are detected Dreadlocks-style (Shore-MT's approach): waiting
+/// threads publish the set of agents they transitively wait on, and a
+/// thread that finds itself in its own digest aborts. `lock_timeout` is
+/// the safety net behind it.
 #[derive(Clone, Debug)]
 pub struct LockManagerConfig {
     /// Number of hash buckets in the lock table (rounded up to a power of
@@ -146,8 +120,6 @@ pub struct LockManagerConfig {
     /// deadlock digest table and the per-agent `LockStats` shards, 384 B
     /// each with a single policy scope).
     pub max_agents: usize,
-    /// Deadlock strategy.
-    pub deadlock: DeadlockPolicy,
     /// Give up on a lock wait after this long.
     pub lock_timeout: Duration,
     /// How often a blocked thread wakes to run deadlock checks.
@@ -170,7 +142,6 @@ impl Default for LockManagerConfig {
         LockManagerConfig {
             buckets: 4096,
             max_agents: 256,
-            deadlock: DeadlockPolicy::Dreadlocks,
             lock_timeout: Duration::from_secs(2),
             deadlock_poll: Duration::from_micros(500),
             sli: SliConfig::default(),
@@ -226,21 +197,9 @@ impl LockManagerConfig {
         self
     }
 
-    /// Builder: replace the SLI tuning knobs.
-    pub fn sli(mut self, sli: SliConfig) -> Self {
-        self.sli = sli;
-        self
-    }
-
     /// Builder: replace the lock-wait timeout.
     pub fn lock_timeout(mut self, timeout: Duration) -> Self {
         self.lock_timeout = timeout;
-        self
-    }
-
-    /// Builder: replace the deadlock strategy.
-    pub fn deadlock(mut self, deadlock: DeadlockPolicy) -> Self {
-        self.deadlock = deadlock;
         self
     }
 
@@ -258,7 +217,6 @@ mod tests {
     #[test]
     fn defaults_encode_paper_criteria() {
         let c = SliConfig::default();
-        assert!(c.enabled);
         assert_eq!(c.min_level, LockLevel::Page);
         assert!(c.require_shared_mode);
         assert!(c.require_no_waiters);
@@ -267,19 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_turns_off_only_the_master_switch() {
-        let c = SliConfig::disabled();
-        assert!(!c.enabled);
-        assert!(c.require_parent);
-    }
-
-    #[test]
     fn default_policy_is_paper_sli() {
         let cfg = LockManagerConfig::default();
         assert_eq!(cfg.policies.default_policy().name(), "paper-sli");
         assert_eq!(cfg.policy_kind(), Some(PolicyKind::PaperSli));
         assert!(cfg.policies.is_uniform());
-        assert!(cfg.sli.enabled);
     }
 
     #[test]
@@ -287,13 +237,9 @@ mod tests {
         let a = LockManagerConfig::with_policy(PolicyKind::Baseline);
         assert!(!a.policies.default_policy().inherits());
         let b = LockManagerConfig::with_policy(PolicyKind::EagerRelease.build())
-            .lock_timeout(Duration::from_millis(10))
-            .deadlock(DeadlockPolicy::TimeoutOnly)
-            .sli(SliConfig::disabled());
+            .lock_timeout(Duration::from_millis(10));
         assert!(b.policies.default_policy().early_release_shared());
         assert_eq!(b.lock_timeout, Duration::from_millis(10));
-        assert_eq!(b.deadlock, DeadlockPolicy::TimeoutOnly);
-        assert!(!b.sli.enabled);
     }
 
     #[test]

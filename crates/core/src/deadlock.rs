@@ -5,8 +5,11 @@
 //! it transitively waits on. A waiter recomputes its digest from its direct
 //! blockers' digests on every poll; if its own identity ever appears, a
 //! cycle exists and the waiter aborts as the victim. Digests may be stale or
-//! conservative, which can only produce (rare) false positives — acceptable
-//! because victims simply retry.
+//! conservative, which can only produce false positives. The lock manager
+//! confirms a hit against the live queues before aborting (some other agent
+//! must be blocked by the would-be victim right now), so a waiter that
+//! nobody waits on is never aborted on a stale digest; the remaining rare
+//! false positives are acceptable because victims simply retry.
 //!
 //! # Digest sizing and the folding regime
 //!

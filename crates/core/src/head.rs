@@ -390,6 +390,35 @@ impl LockQueue {
         }
     }
 
+    /// True when some other agent's waiting or converting request here is
+    /// blocked by `slot`: `slot` is among its [`LockQueue::collect_blockers`],
+    /// or its target mode conflicts with `fast`, a grant-word hold `slot`
+    /// has on this lock. `scratch` is overwritten.
+    pub fn blocks_a_waiter(
+        &self,
+        slot: u32,
+        fast: Option<LockMode>,
+        scratch: &mut Vec<u32>,
+    ) -> bool {
+        self.reqs.iter().any(|r| {
+            if r.agent() == slot
+                || !matches!(
+                    r.status(),
+                    RequestStatus::Waiting | RequestStatus::Converting
+                )
+            {
+                return false;
+            }
+            let want = r.convert_to();
+            if fast.is_some_and(|m| !want.compatible(m)) {
+                return true;
+            }
+            scratch.clear();
+            self.collect_blockers(r, want, scratch);
+            scratch.contains(&slot)
+        })
+    }
+
     /// Number of requests currently holding the lock.
     pub fn holders(&self) -> u32 {
         self.granted_counts.iter().sum()
@@ -539,8 +568,7 @@ impl LockHead {
     /// lock-manager latching dominates — while cross-agent sharing at
     /// acquire time is exactly the condition that makes a release +
     /// re-acquire pair recur, which is what criterion 2 exists to detect.
-    /// [`crate::PaperSli`] combines both signals; [`crate::LatchOnlySli`]
-    /// uses the raw collision bit only.
+    /// [`crate::PaperSli`] combines both signals.
     ///
     /// Parked `Inherited` requests deliberately do not count as sharing:
     /// their owner is idle, and counting them would keep a lock hot (and

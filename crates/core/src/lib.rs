@@ -51,7 +51,7 @@ mod stats;
 mod txn;
 mod word;
 
-pub use config::{DeadlockPolicy, FastPathConfig, LockManagerConfig, SliConfig};
+pub use config::{FastPathConfig, LockManagerConfig, SliConfig};
 pub use deadlock::{AgentSet, DigestTable, MAX_DIGEST_BITS};
 pub use error::LockError;
 pub use head::{LockHead, LockQueue, QueueGuard};
@@ -61,8 +61,8 @@ pub use id::{LockId, LockLevel, TableId};
 pub use manager::LockManager;
 pub use mode::{LockMode, ALL_MODES, NUM_MODES};
 pub use policy::{
-    AcquireSample, AdaptivePolicy, AggressiveSli, Baseline, EagerRelease, HeldLock, LatchOnlySli,
-    LockPolicy, PaperSli, PolicyKind,
+    AcquireSample, AdaptivePolicy, AggressiveSli, Baseline, EagerRelease, HeldLock, LockPolicy,
+    PaperSli, PolicyKind,
 };
 pub use request::{LockRequest, RequestStatus};
 pub use scope::{HeadPolicy, PolicyMap, PolicyScope, MAX_POLICY_SCOPES};

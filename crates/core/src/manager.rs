@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use sli_profiler::{Category, Component};
 
-use crate::config::{DeadlockPolicy, LockManagerConfig};
+use crate::config::LockManagerConfig;
 use crate::deadlock::DigestTable;
 use crate::error::LockError;
 use crate::head::LockHead;
@@ -658,11 +658,10 @@ impl LockManager {
                         }
                     }
                 }
-                if self.config.deadlock == DeadlockPolicy::Dreadlocks {
-                    deadlocked = self
-                        .digests
-                        .check_and_publish_with(slot, &blockers, &mut digest);
-                }
+                deadlocked = self
+                    .digests
+                    .check_and_publish_with(slot, &blockers, &mut digest)
+                    && self.blocks_a_waiter(ts, head, &mut blockers);
             }
             if timed_out || deadlocked {
                 // Victim path: undo the enqueue (or conversion) unless a
@@ -701,6 +700,28 @@ impl LockManager {
                 };
             }
         }
+    }
+
+    /// Confirm a Dreadlocks hit before choosing this waiter as the victim.
+    /// Digests are recomputed only on each waiter's poll, so a blocker's
+    /// published digest can still name this agent for a hold it released
+    /// before its current wait began (a reader that commits and re-queues
+    /// behind a writer whose last poll saw its old S). A real cycle through
+    /// this agent needs another agent blocked right now by one of its holds
+    /// or by its own queued request; with none, the hit is stale.
+    fn blocks_a_waiter(
+        &self,
+        ts: &TxnLockState,
+        waiting_on: &Arc<LockHead>,
+        scratch: &mut Vec<u32>,
+    ) -> bool {
+        let slot = ts.agent_slot;
+        std::iter::once((waiting_on, None))
+            .chain(ts.requests.iter().map(|e| match e {
+                Entry::Queued(_, h) => (h, None),
+                Entry::Fast(m, h) => (h, Some(*m)),
+            }))
+            .any(|(head, fast)| head.latch_untracked().blocks_a_waiter(slot, fast, scratch))
     }
 
     /// Finish a transaction: run SLI candidate selection (on commit) and
@@ -764,7 +785,7 @@ impl LockManager {
         // order, so parents precede children and criterion 5 can consult
         // the parent's decision).
         let n = ts.requests.len();
-        let decisions = if commit && sli_cfg.enabled && self.policies.any_inherits() {
+        let decisions = if commit && self.policies.any_inherits() {
             let _sli = sli_profiler::enter(Category::Work(Component::Sli));
             // One bounded allocation per commit (`locks_held` entries, and
             // only for inheriting policies); a reusable scratch would
@@ -910,7 +931,7 @@ impl LockManager {
         } else {
             LockClass::ColdHigh
         };
-        if hot && !inherited && sli_cfg.enabled && head.policy().policy().inherits() {
+        if hot && !inherited && head.policy().policy().inherits() {
             stats.on_sli_hot_not_inherited();
         }
         stats.on_census(class);
@@ -1038,7 +1059,6 @@ impl std::fmt::Debug for LockManager {
             .field("live_heads", &self.table.len())
             .field("policy", &self.default_policy.name())
             .field("scopes", &self.policies.num_scopes())
-            .field("sli_enabled", &self.config.sli.enabled)
             .finish()
     }
 }
@@ -1372,6 +1392,37 @@ mod tests {
         );
         let snap = m.stats().snapshot();
         assert!(snap.deadlocks >= 1 || snap.timeouts >= 1);
+    }
+
+    /// `lock_timeout` is the safety net behind Dreadlocks: a wait with no
+    /// cycle (the holder is simply slow to commit) ends in a retryable
+    /// `Timeout`, and the lock is grantable again once the holder commits.
+    #[test]
+    fn lock_timeout_fires_without_a_deadlock_cycle() {
+        let m =
+            LockManager::new(LockManagerConfig::default().lock_timeout(Duration::from_millis(100)));
+        let id = rec(1, 0, 0);
+        let mut holder = m.register_agent().unwrap();
+        let mut held = TxnLockState::new(holder.slot());
+        m.begin(&mut held, &mut holder);
+        m.lock(&mut held, &mut holder, id, LockMode::X).unwrap();
+
+        let mut agent = m.register_agent().unwrap();
+        let mut ts = TxnLockState::new(agent.slot());
+        m.begin(&mut ts, &mut agent);
+        let err = m.lock(&mut ts, &mut agent, id, LockMode::X).unwrap_err();
+        assert!(matches!(err, LockError::Timeout { .. }), "{err:?}");
+        assert!(err.is_retryable());
+        m.end_txn(&mut ts, &mut agent, false);
+        let snap = m.stats().snapshot();
+        assert_eq!((snap.timeouts, snap.deadlocks), (1, 0));
+
+        m.end_txn(&mut held, &mut holder, true);
+        m.begin(&mut ts, &mut agent);
+        m.lock(&mut ts, &mut agent, id, LockMode::X).unwrap();
+        m.end_txn(&mut ts, &mut agent, true);
+        m.retire_agent(&mut holder);
+        m.retire_agent(&mut agent);
     }
 
     #[test]
@@ -1818,10 +1869,9 @@ mod tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
-    use crate::config::{DeadlockPolicy, SliConfig};
+    use crate::config::SliConfig;
     use crate::id::TableId;
     use crate::stats::ScopeStatsSnapshot;
-    use std::time::Duration;
 
     fn rec(t: u32, s: u16) -> LockId {
         LockId::Record(TableId(t), 0, s)
@@ -1832,41 +1882,6 @@ mod policy_tests {
         for _ in 0..16 {
             head.hot().record(true);
         }
-    }
-
-    #[test]
-    fn timeout_only_policy_resolves_deadlocks_by_timeout() {
-        let cfg = LockManagerConfig::with_policy(crate::PolicyKind::Baseline)
-            .deadlock(DeadlockPolicy::TimeoutOnly)
-            .lock_timeout(Duration::from_millis(150));
-        let m = LockManager::new(cfg);
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let spawn = |first: LockId, second: LockId| {
-            let m = Arc::clone(&m);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut agent = m.register_agent().unwrap();
-                let mut ts = TxnLockState::new(agent.slot());
-                m.begin(&mut ts, &mut agent);
-                m.lock(&mut ts, &mut agent, first, LockMode::X).unwrap();
-                barrier.wait();
-                let r = m.lock(&mut ts, &mut agent, second, LockMode::X);
-                m.end_txn(&mut ts, &mut agent, r.is_ok());
-                m.retire_agent(&mut agent);
-                r
-            })
-        };
-        let h1 = spawn(rec(1, 0), rec(1, 1));
-        let h2 = spawn(rec(1, 1), rec(1, 0));
-        let r1 = h1.join().unwrap();
-        let r2 = h2.join().unwrap();
-        assert!(r1.is_err() || r2.is_err());
-        let failed = if r1.is_err() { r1 } else { r2 };
-        assert!(
-            matches!(failed, Err(LockError::Timeout { .. })),
-            "timeout-only policy must fail with Timeout: {failed:?}"
-        );
-        assert_eq!(m.stats().snapshot().deadlocks, 0);
     }
 
     #[test]
@@ -1991,37 +2006,6 @@ mod policy_tests {
         assert_eq!(agent.inherited_count(), 3, "db, table, page — all cold");
         m.retire_agent(&mut agent);
         assert_eq!(m.live_lock_heads(), 0);
-    }
-
-    #[test]
-    fn latch_only_policy_ignores_cross_agent_sharing_signal() {
-        // Two agents repeatedly share a table's locks. Under the paper
-        // policy this heats the high-level heads; under latch-only the
-        // microsecond-scale critical sections virtually never collide, so
-        // nothing is inherited (the ROADMAP signal ablation).
-        let m = LockManager::new(LockManagerConfig::with_policy(
-            crate::PolicyKind::LatchOnlySli,
-        ));
-        let mut a0 = m.register_agent().unwrap();
-        let mut t0 = TxnLockState::new(a0.slot());
-        let mut a1 = m.register_agent().unwrap();
-        let mut t1 = TxnLockState::new(a1.slot());
-        for i in 0..32u16 {
-            m.begin(&mut t0, &mut a0);
-            m.lock(&mut t0, &mut a0, rec(1, i), LockMode::S).unwrap();
-            m.begin(&mut t1, &mut a1);
-            m.lock(&mut t1, &mut a1, rec(1, i + 100), LockMode::S)
-                .unwrap();
-            m.end_txn(&mut t0, &mut a0, true);
-            m.end_txn(&mut t1, &mut a1, true);
-        }
-        assert_eq!(
-            m.stats().snapshot().sli_inherited,
-            0,
-            "serial single-thread interleaving never collides on the latch"
-        );
-        m.retire_agent(&mut a0);
-        m.retire_agent(&mut a1);
     }
 
     #[test]

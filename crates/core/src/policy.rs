@@ -18,9 +18,8 @@
 //! 3. [`LockPolicy::on_discard`] — the fate of an inherited lock the next
 //!    transaction did not use (keep parked for another generation, or drop).
 //!
-//! Six implementations ship with the crate: [`Baseline`], [`PaperSli`]
-//! (the default; byte-for-byte the paper's five criteria), [`LatchOnlySli`]
-//! (raw latch-collision heat, the Shore-MT signal), [`AggressiveSli`]
+//! Five implementations ship with the crate: [`Baseline`], [`PaperSli`]
+//! (the default; byte-for-byte the paper's five criteria), [`AggressiveSli`]
 //! (inherit every held hierarchy lock), [`EagerRelease`] (drop S locks
 //! at commit-LSN instead of inheriting — the ELR-style contrast point),
 //! and [`AdaptivePolicy`] (per-head baseline↔SLI switching driven by the
@@ -152,7 +151,7 @@ pub trait LockPolicy: Send + Sync + std::fmt::Debug {
     /// per-lock predicate. Override only when the selection is not
     /// expressible as a per-lock predicate.
     fn select_candidates(&self, cfg: &SliConfig, locks: &[HeldLock<'_>]) -> Vec<bool> {
-        if !cfg.enabled || !self.inherits() {
+        if !self.inherits() {
             return vec![false; locks.len()];
         }
         parents_first_walk(cfg, locks, |l, parent_ok| {
@@ -255,40 +254,7 @@ impl LockPolicy for PaperSli {
         is_inheritance_candidate(cfg, id, mode, head, parent_inherited)
     }
     fn on_discard(&self, cfg: &SliConfig, _id: LockId, head: &LockHead, unused: u32) -> bool {
-        cfg.enabled
-            && unused < cfg.hysteresis
-            && head.hot().is_hot(cfg.hot_threshold, cfg.hot_window)
-    }
-}
-
-/// The Shore-MT heat signal: only raw latch collisions count as contention
-/// (criterion 2 as literally stated in the paper). The ROADMAP ablation —
-/// in this engine the head critical sections are so short that this signal
-/// rarely crosses the hot threshold, so inheritance mostly never fires.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LatchOnlySli;
-
-impl LockPolicy for LatchOnlySli {
-    fn name(&self) -> &'static str {
-        "latch-only"
-    }
-    fn on_acquire(&self, sample: &AcquireSample) -> bool {
-        sample.latch_contended
-    }
-    fn is_candidate(
-        &self,
-        cfg: &SliConfig,
-        id: LockId,
-        mode: LockMode,
-        head: &LockHead,
-        parent_inherited: Option<bool>,
-    ) -> bool {
-        is_inheritance_candidate(cfg, id, mode, head, parent_inherited)
-    }
-    fn on_discard(&self, cfg: &SliConfig, _id: LockId, head: &LockHead, unused: u32) -> bool {
-        cfg.enabled
-            && unused < cfg.hysteresis
-            && head.hot().is_hot(cfg.hot_threshold, cfg.hot_window)
+        unused < cfg.hysteresis && head.hot().is_hot(cfg.hot_threshold, cfg.hot_window)
     }
 }
 
@@ -320,7 +286,7 @@ impl LockPolicy for AggressiveSli {
     }
     fn on_discard(&self, cfg: &SliConfig, _id: LockId, _head: &LockHead, unused: u32) -> bool {
         // Keep for the configured hysteresis regardless of heat.
-        cfg.enabled && unused < cfg.hysteresis
+        unused < cfg.hysteresis
     }
 }
 
@@ -504,7 +470,7 @@ impl LockPolicy for AdaptivePolicy {
     fn on_discard(&self, cfg: &SliConfig, _id: LockId, head: &LockHead, unused: u32) -> bool {
         // Re-evaluating the band here is what demotes a head whose unused
         // hand-offs are the only traffic left.
-        cfg.enabled && unused < cfg.hysteresis && self.promoted(head)
+        unused < cfg.hysteresis && self.promoted(head)
     }
     fn on_reclaim(&self, head: &LockHead) {
         // The reclaim path cannot latch the queue, but the grant word
@@ -533,8 +499,6 @@ pub enum PolicyKind {
     Baseline,
     /// [`PaperSli`] (the default).
     PaperSli,
-    /// [`LatchOnlySli`].
-    LatchOnlySli,
     /// [`AggressiveSli`].
     AggressiveSli,
     /// [`EagerRelease`].
@@ -547,10 +511,9 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Every shipped policy, in ablation-sweep order.
-    pub const ALL: [PolicyKind; 6] = [
+    pub const ALL: [PolicyKind; 5] = [
         PolicyKind::Baseline,
         PolicyKind::PaperSli,
-        PolicyKind::LatchOnlySli,
         PolicyKind::AggressiveSli,
         PolicyKind::EagerRelease,
         PolicyKind::Adaptive,
@@ -561,7 +524,6 @@ impl PolicyKind {
         match self {
             PolicyKind::Baseline => Arc::new(Baseline),
             PolicyKind::PaperSli => Arc::new(PaperSli),
-            PolicyKind::LatchOnlySli => Arc::new(LatchOnlySli),
             PolicyKind::AggressiveSli => Arc::new(AggressiveSli),
             PolicyKind::EagerRelease => Arc::new(EagerRelease),
             PolicyKind::Adaptive => Arc::new(AdaptivePolicy::default()),
@@ -573,7 +535,6 @@ impl PolicyKind {
         match self {
             PolicyKind::Baseline => "baseline",
             PolicyKind::PaperSli => "paper-sli",
-            PolicyKind::LatchOnlySli => "latch-only",
             PolicyKind::AggressiveSli => "aggressive",
             PolicyKind::EagerRelease => "eager-release",
             PolicyKind::Adaptive => "adaptive",
@@ -643,7 +604,6 @@ mod tests {
     fn paper_sli_matches_legacy_predicate_on_fixture() {
         let configs = [
             SliConfig::default(),
-            SliConfig::disabled(),
             SliConfig {
                 require_shared_mode: false,
                 ..SliConfig::default()
@@ -700,7 +660,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, 7 * 4 * 5 * 2 * 2 * 3);
+        assert_eq!(checked, 6 * 4 * 5 * 2 * 2 * 3);
     }
 
     #[test]
@@ -771,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn latch_only_ignores_cross_agent_sharing() {
+    fn paper_sli_heats_on_either_signal() {
         let shared_only = AcquireSample {
             latch_contended: false,
             cross_agent_shared: true,
@@ -780,10 +740,9 @@ mod tests {
             latch_contended: true,
             cross_agent_shared: false,
         };
-        assert!(!LatchOnlySli.on_acquire(&shared_only));
-        assert!(LatchOnlySli.on_acquire(&collided));
         assert!(PaperSli.on_acquire(&shared_only));
         assert!(PaperSli.on_acquire(&collided));
+        assert!(!PaperSli.on_acquire(&AcquireSample::default()));
     }
 
     #[test]

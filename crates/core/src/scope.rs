@@ -456,7 +456,7 @@ impl PolicyMap {
         if self.is_uniform() {
             return self.scopes[0].policy.select_candidates(cfg, locks);
         }
-        if !cfg.enabled || !self.any_inherits {
+        if !self.any_inherits {
             return vec![false; locks.len()];
         }
         crate::policy::parents_first_walk(cfg, locks, |l, parent_ok| {

@@ -195,10 +195,9 @@ impl std::fmt::Debug for AgentSliState {
 /// Evaluate the paper's five inheritance criteria (Section 4.2) for one
 /// granted lock at commit time.
 ///
-/// This is the reference predicate behind [`crate::PaperSli`] (and
-/// [`crate::LatchOnlySli`], which differs only in the heat *signal* feeding
-/// criterion 2); it stays a free function so ablation fixtures can probe it
-/// directly and so the policy implementations can be verified against it.
+/// This is the reference predicate behind [`crate::PaperSli`]; it stays a
+/// free function so ablation fixtures can probe it directly and so the
+/// policy implementations can be verified against it.
 ///
 /// * `parent_inherited` — whether the lock's parent was selected for
 ///   inheritance in the same pass (`None` for the hierarchy root).
@@ -213,9 +212,6 @@ pub fn is_inheritance_candidate(
     head: &LockHead,
     parent_inherited: Option<bool>,
 ) -> bool {
-    if !cfg.enabled {
-        return false;
-    }
     // 1. "The lock is page-level or higher in the hierarchy."
     if id.level() > cfg.min_level {
         return false;
@@ -343,19 +339,6 @@ mod tests {
             tid,
             LockMode::IS,
             &head,
-            Some(true)
-        ));
-    }
-
-    #[test]
-    fn disabled_config_rejects_everything() {
-        let cfg = SliConfig::disabled();
-        let tid = LockId::Table(TableId(1));
-        assert!(!is_inheritance_candidate(
-            &cfg,
-            tid,
-            LockMode::IS,
-            &hot_head(tid),
             Some(true)
         ));
     }

@@ -37,7 +37,8 @@
 //! any of `EXCL | WAIT | ZOMBIE` is set, `n_INH > 0`, or a conflicting
 //! counter/flag is nonzero (`S` vs `n_IX`/`Q_IX`, `IX` vs `n_S`/`Q_S`);
 //! otherwise CAS the counter up. A bounded retry budget
-//! (`SLI_FASTPATH_RETRY`) keeps pathological CAS storms off the word.
+//! (`FastPathConfig::retry_budget`) keeps pathological CAS storms off the
+//! word.
 //!
 //! **Fast release** (no latch): unconditional counter decrement
 //! (`fetch_sub`). The *returned* previous word tells the releaser whether

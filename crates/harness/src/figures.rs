@@ -517,9 +517,10 @@ pub struct AblationRow {
 fn ablation_run(
     scale: &ExperimentScale,
     variant: &'static str,
+    policy: sli_engine::PolicyKind,
     cfg_fn: impl FnOnce(&mut sli_engine::SliConfig),
 ) -> AblationRow {
-    let mut db_cfg = db_config(true);
+    let mut db_cfg = crate::setup::db_config_for(policy);
     cfg_fn(&mut db_cfg.lock.sli);
     let db = Database::open(db_cfg);
     let tm1 = Tm1::load(&db, scale.tm1_subscribers, 42);
@@ -543,16 +544,21 @@ pub fn ablation_criteria(scale: &ExperimentScale) -> Vec<AblationRow> {
         "{:>18} {:>12} {:>12} {:>14} {:>10}",
         "variant", "attempts/s", "reclaims/txn", "invalid/txn", "lm-cont%"
     );
+    use sli_engine::PolicyKind::{Baseline, PaperSli};
     let rows = vec![
-        ablation_run(scale, "full-sli", |_| {}),
-        ablation_run(scale, "sli-off", |c| c.enabled = false),
-        ablation_run(scale, "no-hot-filter", |c| c.hot_threshold = 0.0),
-        ablation_run(scale, "inherit-rows", |c| {
+        ablation_run(scale, "full-sli", PaperSli, |_| {}),
+        ablation_run(scale, "sli-off", Baseline, |_| {}),
+        ablation_run(scale, "no-hot-filter", PaperSli, |c| c.hot_threshold = 0.0),
+        ablation_run(scale, "inherit-rows", PaperSli, |c| {
             c.min_level = sli_engine::LockLevel::Record
         }),
-        ablation_run(scale, "ignore-waiters", |c| c.require_no_waiters = false),
-        ablation_run(scale, "ignore-parent", |c| c.require_parent = false),
-        ablation_run(scale, "hysteresis-3", |c| c.hysteresis = 3),
+        ablation_run(scale, "ignore-waiters", PaperSli, |c| {
+            c.require_no_waiters = false
+        }),
+        ablation_run(scale, "ignore-parent", PaperSli, |c| {
+            c.require_parent = false
+        }),
+        ablation_run(scale, "hysteresis-3", PaperSli, |c| c.hysteresis = 3),
     ];
     for row in &rows {
         println!(
@@ -698,12 +704,10 @@ pub struct PolicyMatrixRow {
 
 /// The `LockPolicy` ablation: sweep every shipped policy across the agent
 /// ladder on the TM1 NDBB mix. `Baseline` must report zero inheritance;
-/// `LatchOnlySli` vs `PaperSli` is the ROADMAP's hot-lock *signal* ablation
-/// (raw latch collisions vs cross-agent sharing); `AggressiveSli` shows the
-/// cost of over-inheriting; `EagerRelease` trades inheritance for shorter
-/// read-lock hold times; `Adaptive` should track `Baseline` at low agent
-/// counts and converge toward `PaperSli` once heads heat past its
-/// promotion band.
+/// `AggressiveSli` shows the cost of over-inheriting; `EagerRelease`
+/// trades inheritance for shorter read-lock hold times; `Adaptive` should
+/// track `Baseline` at low agent counts and converge toward `PaperSli`
+/// once heads heat past its promotion band.
 pub fn policy_matrix(scale: &ExperimentScale) -> Vec<PolicyMatrixRow> {
     use sli_engine::PolicyKind;
     println!("\n== Policy matrix: inheritance policies x agents (NDBB mix) ==");
@@ -1308,12 +1312,6 @@ mod tests {
         assert_eq!(total("baseline", |r| r.early_released), 0);
         // Eager release never inherits (it releases early instead).
         assert_eq!(total("eager-release", |r| r.inherited), 0);
-        // The signal ablation: raw latch collisions qualify at most as many
-        // locks as the combined latch + cross-agent-sharing signal.
-        assert!(
-            rate("latch-only") <= rate("paper-sli") + 1e-9,
-            "latch-only inherited more per commit than paper-sli"
-        );
         // Over-inheritance: aggressive waives every filter the paper
         // applies, so its per-commit hand-off should be larger. With the
         // grant-word fast path on, inheritance takeoff is seeded by the

@@ -3,18 +3,41 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use sli_engine::{BackendKind, Database, DatabaseConfig};
+use sli_engine::{BackendKind, Database, DatabaseConfig, LogConfig};
 use sli_workloads::tm1::{Tm1, Tm1Txn};
 use sli_workloads::tpcb::TpcB;
 use sli_workloads::tpcc::{TpcC, TpcCScale, TpcCTxn};
 use sli_workloads::MixedWorkload;
 
-/// Read a `u64` environment knob.
+/// Read a `u64` environment knob. Panics, naming the variable and its
+/// value, when it is set but not an unsigned integer: a typo such as
+/// `SLI_LOG_RING=1M` must fail the run, not silently measure the default.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_num(name).unwrap_or(default)
+}
+
+/// Parse a numeric environment knob; `None` when unset. Panics when set
+/// but unparsable (see [`env_u64`]).
+pub(crate) fn env_num<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let v = std::env::var(name).ok()?;
+    Some(
+        v.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={v:?} is not a valid number")),
+    )
+}
+
+/// Apply the log front-end knobs on top of `log`: `SLI_LOG_RING` (ring
+/// bytes) and `SLI_LOG_BATCH_US` (the flusher's batch-window cap in µs),
+/// so experiments can sweep the ring without recompiling.
+pub(crate) fn env_log(mut log: LogConfig) -> LogConfig {
+    if let Some(n) = env_num("SLI_LOG_RING") {
+        log.ring_bytes = n;
+    }
+    if let Some(us) = env_num("SLI_LOG_BATCH_US") {
+        log.batch_window = Duration::from_micros(us);
+    }
+    log
 }
 
 /// Global scaling for experiments, from environment variables.
@@ -37,7 +60,8 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Scale from environment variables (defaults match DESIGN.md).
+    /// Scale from `SLI_*` environment variables; an unset knob keeps the
+    /// default written next to it.
     pub fn from_env() -> Self {
         let max_agents = env_u64(
             "SLI_MAX_AGENTS",
@@ -108,7 +132,7 @@ pub struct LoadedWorkload {
 }
 
 /// Database config for a given SLI setting, always in-memory (the paper
-/// decouples I/O from the lock-manager experiments; see DESIGN.md §5).
+/// decouples I/O from the lock-manager experiments).
 /// `SLI_ROW_WORK_NS` (default 800) calibrates the synthetic per-row CPU
 /// cost so the baseline lock-manager share lands in the paper's band.
 pub fn db_config(sli: bool) -> DatabaseConfig {
@@ -125,10 +149,7 @@ pub fn db_config(sli: bool) -> DatabaseConfig {
 pub fn db_config_for(policy: sli_engine::PolicyKind) -> DatabaseConfig {
     let mut cfg = DatabaseConfig::with_policy(policy).in_memory();
     cfg.row_work_ns = env_u64("SLI_ROW_WORK_NS", 800);
-    // Log front-end knobs (`SLI_LOG_RING`, `SLI_LOG_BATCH_US`,
-    // `SLI_LOG_FLUSHER`) so experiments can sweep the ring and flusher
-    // without recompiling.
-    cfg.log = cfg.log.from_env();
+    cfg.log = env_log(cfg.log);
     // Concurrency backend (`SLI_BACKEND`: `locked`/`2pl` or `mvcc`) and
     // MVCC GC cadence (`SLI_MVCC_GC_EVERY`).
     cfg.backend = env_backend();
@@ -288,6 +309,20 @@ mod tests {
         let short = s.short_ladder();
         assert!(short.len() <= 4);
         assert_eq!(short.last(), Some(&24));
+    }
+
+    #[test]
+    fn numeric_knobs_parse_or_fall_back() {
+        std::env::set_var("ENV_U64_TEST_SET", " 42 ");
+        assert_eq!(env_u64("ENV_U64_TEST_SET", 7), 42);
+        assert_eq!(env_u64("ENV_U64_TEST_UNSET", 7), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "ENV_U64_TEST_BAD=\"1.5e3\" is not a valid number")]
+    fn malformed_numeric_knob_panics_with_name_and_value() {
+        std::env::set_var("ENV_U64_TEST_BAD", "1.5e3");
+        env_u64("ENV_U64_TEST_BAD", 400);
     }
 
     #[test]

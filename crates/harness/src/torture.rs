@@ -113,11 +113,11 @@ fn durable_config(
     flush_latency: std::time::Duration,
 ) -> DatabaseConfig {
     let mut cfg = DatabaseConfig::with_policy(policy).in_memory().durable();
-    // Ring/flusher knobs apply (so torture can sweep `SLI_LOG_RING` etc.);
-    // the fault plan and latency stay point-controlled. The concurrency
+    // Ring knobs apply (so torture can sweep `SLI_LOG_RING` etc.); the
+    // fault plan and latency stay point-controlled. The concurrency
     // backend comes from `SLI_BACKEND`, so `SLI_BACKEND=mvcc` tortures
     // the validate-at-commit path against the same crash matrix.
-    cfg.log = cfg.log.from_env();
+    cfg.log = crate::setup::env_log(cfg.log);
     cfg.log.fault = fault;
     cfg.log.flush_latency = flush_latency;
     cfg.backend = crate::setup::env_backend();

@@ -39,7 +39,9 @@ use sli_traffic::{
 use sli_workloads::{MixedWorkload, Outcome};
 
 use crate::driver::{run_workload, RunConfig};
-use crate::setup::{env_u64, tpcb_workload, tpcc_workloads, ExperimentScale, LoadedWorkload};
+use crate::setup::{
+    env_num, env_u64, tpcb_workload, tpcc_workloads, ExperimentScale, LoadedWorkload,
+};
 
 /// Adapter driving a [`MixedWorkload`] from the open-loop worker pool.
 pub struct EngineOpenLoop<'a> {
@@ -109,10 +111,7 @@ impl TrafficKnobs {
             .map(|n| n.get())
             .unwrap_or(1);
         TrafficKnobs {
-            rate: std::env::var("SLI_TRAFFIC_RATE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|r: &f64| *r > 0.0),
+            rate: env_num("SLI_TRAFFIC_RATE").filter(|r: &f64| *r > 0.0),
             pattern,
             measure,
             queue_cap: env_u64("SLI_TRAFFIC_QUEUE", 4096) as usize,

@@ -231,6 +231,7 @@ impl BenchArtifact {
 /// The artifact output directory from `SLI_BENCH_DIR`, or `None` when
 /// emission is disabled (unset, empty, or `0`).
 pub fn bench_dir() -> Option<PathBuf> {
+    // A deployment path, not an engine knob. sli-lint: allow(env)
     match std::env::var("SLI_BENCH_DIR") {
         Ok(v) if !v.is_empty() && v != "0" => Some(PathBuf::from(v)),
         _ => None,

@@ -186,11 +186,8 @@ impl CommitQueue {
     }
 
     /// Wake every waiter the current watermark covers (all of them when
-    /// poisoned). With `wake_next`, also unpark the lowest uncovered
-    /// waiter so it can steal the flusher role — without it, steal-mode
-    /// committers left behind by a batch would sleep until their safety
-    /// deadline. Returns `(woken_covered, uncovered_remaining)`.
-    pub fn wake(&self, wake_next: bool) -> (u64, bool) {
+    /// poisoned). Returns `(woken_covered, uncovered_remaining)`.
+    pub fn wake(&self) -> (u64, bool) {
         let durable = self.durable();
         let mut woken = 0u64;
         let mut w = self.waiters.lock();
@@ -206,13 +203,7 @@ impl CommitQueue {
             parking::unpark_one(node.addr, |_| TOKEN_NORMAL);
             woken += 1;
         }
-        let remaining = !w.is_empty();
-        if wake_next {
-            if let Some(next) = w.first() {
-                parking::unpark_one(next.addr, |_| TOKEN_NORMAL);
-            }
-        }
-        (woken, remaining)
+        (woken, !w.is_empty())
     }
 
     /// Times a committer actually slept (vs. an invalidated park).
@@ -274,9 +265,9 @@ mod tests {
         }
         // Cover 10 and 20; 30 must stay parked, then poison frees it.
         q.advance(20);
-        q.wake(false);
+        q.wake();
         q.poison(1, 0, 25);
-        q.wake(false);
+        q.wake();
         let outs: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(outs[0], Ok(()));
         assert_eq!(outs[1], Ok(()));

@@ -4,15 +4,15 @@
 //! space in a lock-free ring ([`LogRing`]) with one atomic fetch-add,
 //! encode outside any latch, and force the log up to their commit LSN by
 //! parking on the committer queue ([`CommitQueue`]) until a pipelined
-//! group-commit flush covers them. The original latched [`LogBuffer`] is
-//! kept as the A/B baseline for the `micro_wal` bench.
+//! group-commit flush covers them.
 //!
 //! The log exists for two reasons in this reproduction:
 //!
 //! 1. realism of the execution-time breakdowns (the paper's Figures 6/10
 //!    contain a log-manager component), and
-//! 2. exercising a second classic contention point (the log buffer latch) so
-//!    SLI's effect is measured against a system with the usual moving parts.
+//! 2. exercising a second classic contention point (the commit-time log
+//!    force) so SLI's effect is measured against a system with the usual
+//!    moving parts.
 //!
 //! Durability itself is simulated: flushing "to disk" advances the durable
 //! LSN after an optional configurable latency, mirroring the paper's
@@ -21,16 +21,14 @@
 //! device so the log can be snapshotted, torn, corrupted, and replayed by
 //! the [`recovery`] pipeline; [`FaultPlan`] injects fsync failures.
 
-mod buffer;
 pub mod committers;
 mod manager;
 mod record;
 pub mod recovery;
 pub mod ring;
 
-pub use buffer::LogBuffer;
 pub use committers::{CommitQueue, WaitSlot};
-pub use manager::{FaultPlan, FlusherMode, LogConfig, LogManager, LogStats, WalError};
+pub use manager::{FaultPlan, LogConfig, LogManager, LogStats, WalError};
 pub use record::{
     DecodeEnd, DecodeError, DecodeSummary, LogPayload, LogRecord, Lsn, FRAME_HEADER, LOADER_TXN,
     MAX_RECORD_LEN,

@@ -10,12 +10,9 @@
 //! until a flush covers their LSN. Physical flushes are serialized by one
 //! mutex around the drain cursor + scratch batch, but **committers never
 //! block on it**: they `try_lock` — whoever wins flushes inline (the
-//! zero-latency fast path), everyone else parks. In
-//! [`FlusherMode::Thread`] (default) a dedicated flusher thread picks up
-//! whatever an inline flush left behind and paces batches with an
-//! adaptive window, so device latency overlaps with new appends; in
-//! [`FlusherMode::Steal`] there is no thread and a finishing flusher
-//! unparks the lowest uncovered committer to steal the role.
+//! zero-latency fast path), everyone else parks. A dedicated flusher
+//! thread picks up whatever an inline flush left behind and paces batches
+//! with an adaptive window, so device latency overlaps with new appends.
 //!
 //! # Durability modes
 //!
@@ -120,20 +117,6 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// Who drives flushes that no committer picked up inline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FlusherMode {
-    /// A dedicated flusher thread (default): device latency overlaps
-    /// with new appends, and leftover waiters never depend on another
-    /// committer arriving.
-    #[default]
-    Thread,
-    /// No thread: a finishing flusher unparks the lowest uncovered
-    /// committer to steal the flusher role. For zero-background-thread
-    /// configs.
-    Steal,
-}
-
 /// Log manager configuration.
 #[derive(Clone, Debug)]
 pub struct LogConfig {
@@ -147,15 +130,12 @@ pub struct LogConfig {
     /// Injected fsync-failure plan (default: no faults).
     pub fault: FaultPlan,
     /// Log-ring capacity in bytes (rounded to a power of two and clamped
-    /// to `[256, 256 MiB]`). Knob: `SLI_LOG_RING`.
+    /// to `[256, 256 MiB]`).
     pub ring_bytes: u64,
     /// Upper bound of the flusher's adaptive batch window — how long the
     /// dedicated flusher may wait for more committers to join a group
-    /// before issuing the fsync. Zero disables pacing. Knob:
-    /// `SLI_LOG_BATCH_US`.
+    /// before issuing the fsync. Zero disables pacing.
     pub batch_window: Duration,
-    /// Flusher mode. Knob: `SLI_LOG_FLUSHER` (`thread` | `steal`).
-    pub flusher: FlusherMode,
 }
 
 impl Default for LogConfig {
@@ -166,36 +146,11 @@ impl Default for LogConfig {
             fault: FaultPlan::none(),
             ring_bytes: 1 << 20,
             batch_window: Duration::from_micros(200),
-            flusher: FlusherMode::Thread,
         }
     }
 }
 
 impl LogConfig {
-    /// Apply the `SLI_LOG_*` environment knobs on top of this config
-    /// (used by the harness so experiments can sweep the log front-end
-    /// without recompiling).
-    pub fn from_env(mut self) -> Self {
-        if let Ok(v) = std::env::var("SLI_LOG_RING") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                self.ring_bytes = n;
-            }
-        }
-        if let Ok(v) = std::env::var("SLI_LOG_BATCH_US") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                self.batch_window = Duration::from_micros(n);
-            }
-        }
-        if let Ok(v) = std::env::var("SLI_LOG_FLUSHER") {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "steal" => self.flusher = FlusherMode::Steal,
-                "thread" => self.flusher = FlusherMode::Thread,
-                _ => {}
-            }
-        }
-        self
-    }
-
     fn clamped_ring(&self) -> u64 {
         self.ring_bytes
             .next_power_of_two()
@@ -274,9 +229,6 @@ impl LogInner {
     }
 
     fn signal_flusher(&self) {
-        if self.config.flusher != FlusherMode::Thread {
-            return;
-        }
         // ordering: release pairs with the flusher's acquire swap — the
         // waiter/ring state that justified the doorbell is visible to it.
         self.work.store(true, Ordering::Release);
@@ -305,26 +257,15 @@ impl LogInner {
             if self.ring.writable(res) {
                 return;
             }
-            match self.config.flusher {
-                FlusherMode::Thread => {
-                    self.signal_flusher();
-                    // Short safety deadline: the drain that frees us may
-                    // have completed between the check and the park.
-                    parking::park(
-                        self.space_addr(),
-                        || !self.ring.writable(res),
-                        || {},
-                        Some(Instant::now() + Duration::from_micros(500)),
-                    );
-                }
-                FlusherMode::Steal => {
-                    if let Some(st) = self.flush.try_lock() {
-                        let _ = self.run_flush(st);
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
+            self.signal_flusher();
+            // Short safety deadline: the drain that frees us may have
+            // completed between the check and the park.
+            parking::park(
+                self.space_addr(),
+                || !self.ring.writable(res),
+                || {},
+                Some(Instant::now() + Duration::from_micros(500)),
+            );
         }
     }
 
@@ -337,7 +278,7 @@ impl LogInner {
         let slot = WaitSlot::new();
         self.queue.enqueue(lsn, &slot);
         // Safety net for a missed wake: long enough to never fire on a
-        // healthy flush, short enough to unwedge a lost-stealer schedule.
+        // healthy flush, short enough to unwedge a lost doorbell.
         let park_timeout = (self.config.flush_latency * 4).max(Duration::from_millis(10));
         loop {
             if let Some(out) = self.queue.outcome(lsn) {
@@ -363,16 +304,15 @@ impl LogInner {
 
     /// One flush cycle: drain + write + watermark under the flush lock,
     /// then (lock released) wake the committers the batch covered. When
-    /// uncovered waiters remain, hand the flusher role on — to the
-    /// dedicated thread via the doorbell, or (steal mode) by unparking
-    /// the lowest uncovered waiter to steal the role. Returns the flush
-    /// result, how many parked committers the wake pass covered, and the
-    /// bytes of the batch the flush counted in `flushes` (0 for none).
+    /// uncovered waiters remain, ring the dedicated flusher's doorbell.
+    /// Returns the flush result, how many parked committers the wake pass
+    /// covered, and the bytes of the batch the flush counted in `flushes`
+    /// (0 for none).
     fn run_flush(&self, mut st: MutexGuard<'_, FlushState>) -> (Result<Lsn, WalError>, u64, u64) {
         let result = self.flush_locked(&mut st);
         let batch = st.scratch.len() as u64;
         drop(st);
-        let (woken, remaining) = self.queue.wake(self.config.flusher == FlusherMode::Steal);
+        let (woken, remaining) = self.queue.wake();
         if result.is_ok() && batch > 0 {
             // ordering: monotonic statistics counter.
             self.group_commits.fetch_add(woken, Ordering::Relaxed);
@@ -545,19 +485,17 @@ impl LogManager {
             steals: AtomicU64::new(0),
             config,
         });
-        let flusher = match inner.config.flusher {
-            FlusherMode::Thread => {
-                let inner = Arc::clone(&inner);
-                Some(
-                    std::thread::Builder::new()
-                        .name("sli-log-flusher".into())
-                        .spawn(move || flusher_main(inner))
-                        .expect("spawn log flusher"),
-                )
-            }
-            FlusherMode::Steal => None,
+        let flusher = {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name("sli-log-flusher".into())
+                .spawn(move || flusher_main(inner))
+                .expect("spawn log flusher")
         };
-        LogManager { inner, flusher }
+        LogManager {
+            inner,
+            flusher: Some(flusher),
+        }
     }
 
     /// Whether flushed bytes are retained (and thus recoverable).
@@ -905,17 +843,12 @@ mod tests {
     }
 
     /// A committer that wins the flush `try_lock` just after another
-    /// flush covered it drains nothing; that is not a steal. With no
-    /// flusher thread every physical flush is some committer's, so the
-    /// empty wins used to push `steals` past `flushes`.
+    /// flush covered it drains nothing; that is not a steal. Counting the
+    /// empty wins would push `steals` past `flushes`.
     #[test]
     fn steals_count_only_inline_flushes_that_wrote_a_batch() {
         const THREADS: u64 = 4;
-        let log = LogManager::new(LogConfig {
-            flush_latency: Duration::ZERO,
-            flusher: FlusherMode::Steal,
-            ..LogConfig::default()
-        });
+        let log = LogManager::new(LogConfig::default());
         let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|s| {
             for t in 0..THREADS {
@@ -935,39 +868,13 @@ mod tests {
         assert!(stats.steals <= stats.flushes, "{stats:?}");
     }
 
-    /// Steal mode: no background thread, committers hand the flusher
-    /// role to each other; every commit still gets acknowledged.
-    #[test]
-    fn steal_mode_commits_without_a_flusher_thread() {
-        let log = Arc::new(LogManager::new(LogConfig {
-            flush_latency: Duration::from_micros(200),
-            flusher: FlusherMode::Steal,
-            ..LogConfig::default()
-        }));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let log = Arc::clone(&log);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..25 {
-                    let c = log.append(LogRecord::commit(t * 100 + i));
-                    log.commit(t * 100 + i, c).unwrap();
-                    assert!(log.durable_lsn() >= c);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(log.stats().commits, 100);
-    }
-
-    /// Steal mode preserves the failure contract bit-for-bit.
+    /// A lone committer wins the flush `try_lock` and flushes inline (a
+    /// steal); that path preserves the failure contract bit-for-bit.
     #[test]
     fn steal_mode_preserves_fault_semantics() {
         let log = LogManager::new(LogConfig {
             retain: true,
             fault: FaultPlan::fail_nth(1, 0),
-            flusher: FlusherMode::Steal,
             ..LogConfig::default()
         });
         let lsn = log.append(LogRecord::commit(7));
@@ -980,6 +887,9 @@ mod tests {
         );
         assert!(log.is_poisoned());
         assert_eq!(log.durable_lsn(), 0);
+        let stats = log.stats();
+        assert_eq!(stats.steals, 1, "the committer flushed inline: {stats:?}");
+        assert_eq!(stats.flushes, 1, "{stats:?}");
     }
 
     /// A ring smaller than the workload: appenders must backpressure on

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sli_wal::{DecodeEnd, FlusherMode, LogConfig, LogManager, LogRecord};
+use sli_wal::{DecodeEnd, LogConfig, LogManager, LogRecord};
 
 /// One thread's scripted appends: payload sizes drive record lengths
 /// (and thus where ring wraps and slot boundaries land).
@@ -19,11 +19,10 @@ fn arb_script() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..200, 1..30)
 }
 
-fn run_streams(ring_bytes: u64, flusher: FlusherMode, scripts: Vec<Vec<u8>>, commit_every: usize) {
+fn run_streams(ring_bytes: u64, scripts: Vec<Vec<u8>>, commit_every: usize) {
     let log = Arc::new(LogManager::new(LogConfig {
         retain: true,
         ring_bytes,
-        flusher,
         ..LogConfig::default()
     }));
     let mut handles = Vec::new();
@@ -92,23 +91,22 @@ fn run_streams(ring_bytes: u64, flusher: FlusherMode, scripts: Vec<Vec<u8>>, com
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Appends + periodic parked commits on a wrap-heavy 4 KiB ring,
-    /// dedicated-flusher mode.
+    /// Appends + periodic parked commits on a wrap-heavy 4 KiB ring.
     #[test]
     fn concurrent_interleavings_reproduce_the_serial_stream(
         scripts in prop::collection::vec(arb_script(), 2..5),
         commit_every in 1usize..5,
     ) {
-        run_streams(4096, FlusherMode::Thread, scripts, commit_every);
+        run_streams(4096, scripts, commit_every);
     }
 
-    /// Same property with committers stealing the flusher role (no
-    /// background thread) on an even smaller ring.
+    /// Same property on a 1 KiB ring, where appenders spend much of the
+    /// run waiting on the flusher for space.
     #[test]
-    fn steal_mode_reproduces_the_serial_stream(
+    fn tiny_ring_reproduces_the_serial_stream(
         scripts in prop::collection::vec(arb_script(), 2..4),
         commit_every in 1usize..4,
     ) {
-        run_streams(1024, FlusherMode::Steal, scripts, commit_every);
+        run_streams(1024, scripts, commit_every);
     }
 }

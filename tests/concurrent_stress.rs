@@ -8,15 +8,8 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sli::engine::{Database, DatabaseConfig, TxnError};
-
-/// Read an environment knob with a default, so CI can dial stress duration
-/// down (same pattern as `SLI_BENCH_SECONDS` in the bench crate).
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+// CI dials stress duration down through `SLI_STRESS_*` knobs.
+use sli::harness::env_u64;
 
 /// Readers, writers, inserters, and deleters all over the same small table:
 /// the worst case for inheritance (constant invalidation traffic). The test
@@ -34,7 +27,7 @@ fn mixed_readers_writers_inserters_deleters() {
     let mut handles = Vec::new();
     // Agent count knob: CI's oversubscription job sets this to 4× the
     // runner's cores so every latch wait can actually park.
-    let agents: u64 = env_or("SLI_STRESS_AGENTS", 8);
+    let agents = env_u64("SLI_STRESS_AGENTS", 8);
     // Net insert/delete balance per thread, to check record counts at end.
     for i in 0..agents {
         let db = Arc::clone(&db);
@@ -91,7 +84,7 @@ fn mixed_readers_writers_inserters_deleters() {
             net
         }));
     }
-    std::thread::sleep(Duration::from_millis(env_or("SLI_STRESS_MS", 800)));
+    std::thread::sleep(Duration::from_millis(env_u64("SLI_STRESS_MS", 800)));
     stop.store(true, Ordering::Relaxed);
     let net: i64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(
@@ -125,7 +118,7 @@ fn sli_and_baseline_converge_to_identical_state() {
             handles.push(std::thread::spawn(move || {
                 let s = db.session();
                 let mut rng = SmallRng::seed_from_u64(i * 77);
-                for _ in 0..env_or("SLI_STRESS_TXNS", 500u64) {
+                for _ in 0..env_u64("SLI_STRESS_TXNS", 500) {
                     // Each thread increments disjoint keys: commutative and
                     // conflict-free, so the final state is deterministic.
                     let k = i * 40 + rng.gen_range(0..40u64);

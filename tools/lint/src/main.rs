@@ -2,7 +2,7 @@
 //!
 //! Dependency-free static analysis (substring + brace tracking — "AST
 //! lite", deliberately not `syn`: the container has no registry access
-//! and the rules below don't need type information). Five rules, all
+//! and the rules below don't need type information). Six rules, all
 //! scoped to library code of the first-party crates plus the vendored
 //! `parking_lot` (the other vendored crates are third-party snapshots):
 //!
@@ -26,6 +26,10 @@
 //!    `// durability:` comment explaining why mutating pages outside a
 //!    transaction is safe. One comment covers the contiguous mutation
 //!    cluster it precedes.
+//! 6. **env** — no `std::env::var` in library code. An environment read
+//!    inside the engine is a hidden option that a stray variable turns on
+//!    for any embedder; knobs belong to the harness, benches, tests and
+//!    examples (exempt), which pass them in through config structs.
 //!
 //! A site can be suppressed with `// sli-lint: allow(<rule>)` on the same
 //! line or the line above — the suppression is itself greppable, so the
@@ -184,6 +188,7 @@ enum Rule {
     Sleep,
     LatchAcrossPark,
     Durability,
+    Env,
 }
 
 impl Rule {
@@ -194,6 +199,7 @@ impl Rule {
             Rule::Sleep => "sleep",
             Rule::LatchAcrossPark => "latch-across-park",
             Rule::Durability => "durability",
+            Rule::Env => "env",
         }
     }
 }
@@ -227,8 +233,9 @@ impl fmt::Display for Finding {
 /// How a file is classified for rule exemptions.
 #[derive(Debug, Clone, Copy)]
 struct FileClass {
-    /// Test/bench/example/harness code: exempt from the ordering and
-    /// sleep rules (stress tests poll; harness drivers pace phases).
+    /// Test/bench/example/harness code: exempt from the ordering, sleep
+    /// and env rules (stress tests poll; harness drivers pace phases and
+    /// read the experiment knobs).
     relaxed: bool,
 }
 
@@ -553,6 +560,16 @@ fn analyze(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
             });
         }
 
+        // Rule 6: no environment reads in library code.
+        if !test_code && code.contains("env::var") && !suppressed(&lines, idx, Rule::Env) {
+            findings.push(Finding {
+                file: rel.to_path_buf(),
+                line: lineno,
+                rule: Rule::Env,
+                message: "environment read in library code (pass knobs in through config)".into(),
+            });
+        }
+
         // Rule 5: recovery code mutating pages outside a transaction
         // must say why that is safe. Scoped to recovery source files —
         // everywhere else, storage mutation goes through a transaction
@@ -827,6 +844,26 @@ mod tests {
         assert!(run("crates/x/tests/stress.rs", bad).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { std::thread::sleep(D); }\n}\n";
         assert!(run("crates/x/src/lib.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn env_read_is_banned_in_lib_code_only() {
+        let bad = "fn f() -> Option<String> { std::env::var(\"KNOB\").ok() }\n";
+        assert_eq!(run("crates/x/src/lib.rs", bad), ["env"]);
+        assert_eq!(run("vendor/parking_lot/src/lib.rs", bad), ["env"]);
+        assert!(run("crates/harness/src/setup.rs", bad).is_empty());
+        assert!(run("crates/bench/benches/micro.rs", bad).is_empty());
+        assert!(run("tests/stress.rs", bad).is_empty());
+        assert!(run("examples/demo.rs", bad).is_empty());
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { std::env::var(\"X\"); }\n}\n";
+        assert!(run("crates/x/src/lib.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn env_read_can_be_suppressed_with_a_reason() {
+        let allowed = "// A deployment path, not an engine knob. sli-lint: allow(env)\n\
+                       fn f() -> Option<String> { std::env::var(\"KNOB\").ok() }\n";
+        assert!(run("crates/x/src/lib.rs", allowed).is_empty());
     }
 
     #[test]
