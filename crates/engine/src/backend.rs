@@ -1,19 +1,26 @@
 //! The concurrency-backend seam.
 //!
-//! A [`Database`] routes every transaction through one
-//! [`ConcurrencyBackend`]: the default [`LockedBackend`] is the paper's
-//! hierarchical lock manager (with SLI), [`MvccBackend`] is the
-//! multiversion/optimistic engine from `sli-mvcc` (ROADMAP item 4). The
-//! backend decides what a [`crate::Txn`]'s operations do; the `Txn` API
-//! itself — and the WAL group-commit pipeline underneath commit — is
-//! shared.
+//! A [`crate::Txn`] is a backend-agnostic shell: it does what every
+//! backend shares (index probes, the buffer-pool touch, synthetic row
+//! cost, `NotFound` mapping) and hands the concurrency-control steps to
+//! its session's [`Backend`] object, built once when the session opens.
+//! Each backend is one file: `locked.rs` is the paper's hierarchical
+//! two-phase locking with SLI, `mvcc.rs` the multiversion/optimistic
+//! engine from `sli-mvcc`.
+//!
+//! A row write has one description from start to end, `sli_mvcc::WriteOp`:
+//! the locked backend's undo log and the MVCC write set both hold it,
+//! [`log_record`] turns it into its WAL record, and [`inverse`] into the
+//! compensation a locked rollback applies and logs.
 
-use std::sync::Arc;
+use bytes::Bytes;
+use sli_core::{AgentSliState, LockId, LockMode};
+use sli_mvcc::{WriteKind, WriteOp};
+use sli_storage::Rid;
+use sli_wal::LogRecord;
 
-use sli_mvcc::{MvccConfig, MvccStore};
-
-use crate::db::Database;
-use crate::session::{SessionState, Txn, TxnOps};
+use crate::db::{Database, TableData};
+use crate::session::TxnError;
 
 /// Which concurrency-control engine a database runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -48,91 +55,80 @@ impl BackendKind {
     }
 }
 
-/// What a concurrency backend must provide. One per database; the
-/// per-transaction state lives in [`SessionState`] and the returned
-/// [`Txn`].
-pub(crate) trait ConcurrencyBackend: Send + Sync {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
+/// One session's concurrency control: the per-transaction operations a
+/// backend implements. The object lives as long as its session and
+/// keeps its scratch (undo log, read/write sets) across transactions.
+/// The lock-manager agent stays with the session — SLI parks locks on it
+/// between transactions and both backends key their slot off it — and is
+/// lent to the calls that need it.
+pub(crate) trait Backend: Send {
+    /// Start a transaction.
+    fn begin(&mut self, db: &Database, agent: &mut AgentSliState);
 
-    /// Start a transaction on a session: register it with the backend
-    /// and build the `Txn` that routes operations to this backend.
-    fn begin_txn<'a>(&self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a>;
+    /// The running transaction's sequence number (see `Txn::seq`).
+    fn seq(&self) -> u64;
 
-    /// Settle background state while no transaction is running (MVCC:
-    /// run a full GC pass so version chains collapse back into the
-    /// heap). Used before whole-database comparisons like
-    /// `state_hash`.
-    fn quiesce(&self, _db: &Database) {}
+    /// Take `id` in `mode` before the shell touches what it covers (a
+    /// table, or a record about to be read or written).
+    fn lock(
+        &mut self,
+        db: &Database,
+        agent: &mut AgentSliState,
+        id: LockId,
+        mode: LockMode,
+    ) -> Result<(), TxnError>;
 
-    /// Recovery finished replaying a log whose transaction ids reach
-    /// below `next_txn`: advance any id/timestamp allocator past them.
-    fn on_recovered(&self, _next_txn: u64) {}
+    /// This transaction's own uncommitted mapping for `key`:
+    /// `Some(Some(rid))` after an own insert, `Some(None)` after an own
+    /// delete, `None` to consult the shared primary index.
+    fn own_key(&self, table: u32, key: u64) -> Option<Option<Rid>>;
 
-    /// The MVCC store, when this backend has one.
-    fn mvcc_store(&self) -> Option<&Arc<MvccStore>> {
-        None
-    }
+    /// Read `rid`. `Ok(None)`: the record exists but is invisible to this
+    /// transaction, which a scan skips.
+    fn read(&mut self, t: &TableData, table: u32, rid: Rid) -> Result<Option<Bytes>, TxnError>;
+
+    /// Perform `op`, whose `before` image the backend fills in. For an
+    /// insert the shell has already placed the heap row at `op.rid`.
+    fn write(&mut self, db: &Database, t: &TableData, op: WriteOp) -> Result<(), TxnError>;
+
+    /// Make the transaction durable and visible, then end it.
+    fn commit(&mut self, db: &Database, agent: &mut AgentSliState) -> Result<(), TxnError>;
+
+    /// Undo the transaction's writes, then end it.
+    fn rollback(&mut self, db: &Database, agent: &mut AgentSliState);
 }
 
-/// The lock-manager backend (default).
-pub(crate) struct LockedBackend;
-
-impl ConcurrencyBackend for LockedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Locked2pl
+/// The WAL record of `op` under transaction id `txn`.
+pub(crate) fn log_record(txn: u64, op: &WriteOp) -> LogRecord {
+    fn image(b: &Option<Bytes>) -> &[u8] {
+        b.as_deref().expect("row write is missing an image")
     }
-
-    fn begin_txn<'a>(&self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a> {
-        let SessionState { agent, ts, .. } = state;
-        db.lockmgr.begin(ts, agent);
-        Txn::new(db, TxnOps::locked(ts, agent))
-    }
-}
-
-/// The multiversion/optimistic backend.
-pub(crate) struct MvccBackend {
-    pub(crate) store: Arc<MvccStore>,
-}
-
-impl MvccBackend {
-    pub(crate) fn new(max_agents: usize, config: MvccConfig) -> MvccBackend {
-        MvccBackend {
-            store: Arc::new(MvccStore::new(max_agents, config)),
+    let (before, after) = (&op.before, &op.after);
+    let (table, page, slot) = (op.table, op.rid.page, op.rid.slot);
+    match op.kind {
+        WriteKind::Insert { key, okey } => {
+            LogRecord::insert(txn, table, page, slot, key, okey, image(after))
+        }
+        WriteKind::Update => LogRecord::update(txn, table, page, slot, image(before), image(after)),
+        WriteKind::Delete { key, okey } => {
+            LogRecord::delete(txn, table, page, slot, key, okey, image(before))
         }
     }
 }
 
-impl ConcurrencyBackend for MvccBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Mvcc
-    }
-
-    fn begin_txn<'a>(&self, db: &'a Arc<Database>, state: &'a mut SessionState) -> Txn<'a> {
-        let slot = state.agent.slot();
-        let read_ts = self.store.begin(slot);
-        state.mvcc.reset(read_ts, slot);
-        Txn::new(db, TxnOps::mvcc(&mut state.mvcc, Arc::clone(&self.store)))
-    }
-
-    fn quiesce(&self, db: &Database) {
-        // A full pass with no snapshot active collapses every chain;
-        // tombstoned chains release their (deferred) heap rows here.
-        self.store.gc(|table, rid| {
-            if let Some(t) = db.table_by_id(table) {
-                t.heap.delete(rid);
-            }
-        });
-    }
-
-    fn on_recovered(&self, next_txn: u64) {
-        // Commit timestamps double as WAL transaction ids: keep new
-        // ones above everything the replayed log used.
-        self.store.advance_ts_floor(next_txn);
-    }
-
-    fn mvcc_store(&self) -> Option<&Arc<MvccStore>> {
-        Some(&self.store)
+/// The write that undoes `op`: images swapped, insert and delete
+/// exchanged.
+pub(crate) fn inverse(op: WriteOp) -> WriteOp {
+    WriteOp {
+        table: op.table,
+        rid: op.rid,
+        kind: match op.kind {
+            WriteKind::Insert { key, okey } => WriteKind::Delete { key, okey },
+            WriteKind::Update => WriteKind::Update,
+            WriteKind::Delete { key, okey } => WriteKind::Insert { key, okey },
+        },
+        before: op.after,
+        after: op.before,
     }
 }
 

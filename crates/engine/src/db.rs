@@ -9,13 +9,13 @@ use sli_core::{
     AdaptivePolicy, LockLevel, LockManager, LockManagerConfig, LockPolicy, LockStatsSnapshot,
     ScopeStatsSnapshot, TableId,
 };
-use sli_mvcc::{MvccConfig, MvccStats};
+use sli_mvcc::{MvccConfig, MvccStats, MvccStore, WriteKind, WriteOp};
 use sli_storage::{
     BufferPool, BufferPoolConfig, BufferPoolStats, HashIndex, HeapTable, OrderedIndex, Rid,
 };
 use sli_wal::{LogConfig, LogManager, LogRecord, LogStats, Lsn, WalError, LOADER_TXN};
 
-use crate::backend::{BackendKind, ConcurrencyBackend, LockedBackend, MvccBackend};
+use crate::backend::{log_record, BackendKind};
 use crate::session::Session;
 
 /// Engine-level errors (catalog misuse, capacity; transaction errors are
@@ -170,6 +170,26 @@ pub(crate) struct TableData {
     pub(crate) ordered: OrderedIndex,
 }
 
+impl TableData {
+    /// Publish `rid` under its primary key and, if it has one, its
+    /// ordered key.
+    pub(crate) fn index_insert(&self, key: u64, okey: Option<u64>, rid: Rid) {
+        self.primary.insert(key, rid);
+        if let Some(ok) = okey {
+            self.ordered.insert(ok, rid);
+        }
+    }
+
+    /// Withdraw a record's primary key and, if it has one, its ordered
+    /// key.
+    pub(crate) fn index_remove(&self, key: u64, okey: Option<u64>) {
+        self.primary.remove(key);
+        if let Some(ok) = okey {
+            self.ordered.remove(ok);
+        }
+    }
+}
+
 /// Opaque, copyable reference to a table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TableHandle(pub(crate) u32);
@@ -187,7 +207,8 @@ pub struct Database {
     pub(crate) log: Arc<LogManager>,
     pub(crate) pool: Arc<BufferPool>,
     pub(crate) row_work_ns: u64,
-    pub(crate) backend: Box<dyn ConcurrencyBackend>,
+    /// The MVCC backend's shared store; `None` on the locked backend.
+    pub(crate) mvcc: Option<Arc<MvccStore>>,
     catalog: RwLock<HashMap<String, TableHandle>>,
     tables: RwLock<Vec<Arc<TableData>>>,
 }
@@ -203,16 +224,14 @@ impl Database {
     /// with the surviving device bytes so new appends continue the LSN
     /// sequence past the old tail).
     pub(crate) fn open_with_log(config: DatabaseConfig, log: LogManager) -> Arc<Database> {
-        let backend: Box<dyn ConcurrencyBackend> = match config.backend {
-            BackendKind::Locked2pl => Box::new(LockedBackend),
-            BackendKind::Mvcc => Box::new(MvccBackend::new(config.lock.max_agents, config.mvcc)),
-        };
+        let mvcc = (config.backend == BackendKind::Mvcc)
+            .then(|| Arc::new(MvccStore::new(config.lock.max_agents, config.mvcc)));
         Arc::new(Database {
             lockmgr: LockManager::new(config.lock),
             log: Arc::new(log),
             pool: Arc::new(BufferPool::new(config.pool)),
             row_work_ns: config.row_work_ns,
-            backend,
+            mvcc,
             catalog: RwLock::new(HashMap::new()),
             tables: RwLock::new(Vec::new()),
         })
@@ -299,21 +318,21 @@ impl Database {
         let t = self.table(table);
         let bytes = Bytes::copy_from_slice(data);
         let rid = t.heap.insert(bytes.clone());
-        t.primary.insert(key, rid);
-        if let Some(ok) = ordered_key {
-            t.ordered.insert(ok, rid);
-        }
+        t.index_insert(key, ordered_key, rid);
         self.pool.prewarm(table.0, rid.page);
         if self.log.retains() {
-            self.log.append(LogRecord::insert(
-                LOADER_TXN,
-                table.0,
-                rid.page,
-                rid.slot,
+            let kind = WriteKind::Insert {
                 key,
-                ordered_key,
-                &bytes,
-            ));
+                okey: ordered_key,
+            };
+            let op = WriteOp {
+                table: table.0,
+                rid,
+                kind,
+                before: None,
+                after: Some(bytes),
+            };
+            self.log.append(log_record(LOADER_TXN, &op));
         }
         rid
     }
@@ -337,12 +356,15 @@ impl Database {
 
     /// Which concurrency backend this database runs on.
     pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
+        match self.mvcc {
+            Some(_) => BackendKind::Mvcc,
+            None => BackendKind::Locked2pl,
+        }
     }
 
     /// Display name of the concurrency backend.
     pub fn backend_name(&self) -> &'static str {
-        self.backend.kind().name()
+        self.backend_kind().name()
     }
 
     /// Settle backend background state while no transaction is running.
@@ -353,12 +375,20 @@ impl Database {
     /// whole-database comparisons like [`Database::state_hash`]. A no-op
     /// on the locked backend.
     pub fn quiesce(&self) {
-        self.backend.quiesce(self);
+        // A full pass with no snapshot active collapses every chain;
+        // tombstoned chains release their (deferred) heap rows here.
+        if let Some(store) = &self.mvcc {
+            store.gc(|table, rid| {
+                if let Some(t) = self.table_by_id(table) {
+                    t.heap.delete(rid);
+                }
+            });
+        }
     }
 
     /// MVCC store counters (`None` on the locked backend).
     pub fn mvcc_stats(&self) -> Option<MvccStats> {
-        self.backend.mvcc_store().map(|s| s.stats())
+        self.mvcc.as_ref().map(|s| s.stats())
     }
 
     /// Display name of the active inheritance policy.

@@ -28,6 +28,8 @@
 
 mod backend;
 mod db;
+mod locked;
+mod mvcc;
 mod recovery;
 mod session;
 

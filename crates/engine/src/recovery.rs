@@ -69,10 +69,7 @@ impl RecoveryStorage for EngineStorage<'_> {
         t.heap.restore(rid, data.clone());
         // durability: index entries are not logged separately — they are
         // derived here from the record's logged keys.
-        t.primary.insert(key, rid);
-        if let Some(ok) = okey {
-            t.ordered.insert(ok, rid);
-        }
+        t.index_insert(key, okey, rid);
         Ok(())
     }
 
@@ -112,10 +109,7 @@ impl RecoveryStorage for EngineStorage<'_> {
         // tolerated so replaying a partial compensation tail stays a
         // no-op.
         t.heap.delete(Rid::new(page, slot));
-        t.primary.remove(key);
-        if let Some(ok) = okey {
-            t.ordered.remove(ok);
-        }
+        t.index_remove(key, okey);
         Ok(())
     }
 }
@@ -166,7 +160,9 @@ impl Database {
         // The configured backend recovers too: a database reopened as MVCC
         // must allocate commit timestamps (= WAL txn ids) above everything
         // the replayed log used, no matter which backend wrote it.
-        db.backend.on_recovered(next_txn);
+        if let Some(store) = &db.mvcc {
+            store.advance_ts_floor(next_txn);
+        }
         Ok((db, report))
     }
 
@@ -374,6 +370,129 @@ mod tests {
         assert_eq!(report.winners, 0);
         let rt = rec.table_handle("t").unwrap();
         assert_eq!(&rec.peek(rt, 1).unwrap()[..], b"base");
+    }
+
+    #[test]
+    fn rollback_logs_exact_inverses_in_reverse_order() {
+        use sli_wal::LogPayload;
+        let db = durable_db();
+        let t = db.create_table("t").unwrap();
+        let r1 = db.bulk_insert(t, 1, Some(10), b"one");
+        let r2 = db.bulk_insert(t, 2, Some(20), b"two");
+        db.force_log().unwrap();
+        let before = db.state_hash();
+        let mark = db.durable_log().len();
+
+        let (mut seq, mut r3) = (0, Rid::new(0, 0));
+        let aborted = db.session().run(|txn| {
+            seq = txn.seq();
+            txn.update_by_key(t, 1, |_| b"one-a".to_vec())?;
+            txn.update_by_key(t, 1, |_| b"one-b".to_vec())?;
+            r3 = txn.insert_with_okey(t, 3, Some(30), b"three")?;
+            txn.update_by_key(t, 3, |_| b"three-a".to_vec())?;
+            txn.delete_by_key(t, 2, Some(20))?;
+            Err::<(), _>(txn.user_abort("compensation check"))
+        });
+        assert_eq!(aborted, Err(TxnError::UserAbort("compensation check")));
+        db.force_log().unwrap();
+        assert_eq!(db.state_hash(), before, "rollback restored the state");
+
+        let tid = t.0;
+        let upd = |rid: Rid, from: &[u8], to: &[u8]| {
+            LogRecord::update(seq, tid, rid.page, rid.slot, from, to)
+        };
+        let ins = |rid: Rid, key, data: &[u8]| {
+            LogRecord::insert(seq, tid, rid.page, rid.slot, key, Some(key * 10), data)
+        };
+        let del = |rid: Rid, key, data: &[u8]| {
+            LogRecord::delete(seq, tid, rid.page, rid.slot, key, Some(key * 10), data)
+        };
+        let forward = [
+            upd(r1, b"one", b"one-a"),
+            upd(r1, b"one-a", b"one-b"),
+            ins(r3, 3, b"three"),
+            upd(r3, b"three", b"three-a"),
+            del(r2, 2, b"two"),
+        ];
+        let compensations = [
+            ins(r2, 2, b"two"),
+            upd(r3, b"three-a", b"three"),
+            del(r3, 3, b"three"),
+            upd(r1, b"one-b", b"one-a"),
+            upd(r1, b"one-a", b"one"),
+        ];
+        let mut expected = vec![LogRecord::begin(seq)];
+        expected.extend(forward.iter().cloned());
+        expected.extend(compensations.iter().cloned());
+        expected.push(LogRecord::abort(seq));
+        let log = db.durable_log();
+        assert_eq!(LogRecord::decode_all(&log[mark..]).records, expected);
+
+        // Each compensation is the exact inverse of its forward record,
+        // taken in reverse order.
+        let invert = |rec: &LogRecord| {
+            let payload = match rec.payload.clone() {
+                LogPayload::Update {
+                    table,
+                    page,
+                    slot,
+                    before,
+                    after,
+                } => LogPayload::Update {
+                    table,
+                    page,
+                    slot,
+                    before: after,
+                    after: before,
+                },
+                LogPayload::Insert {
+                    table,
+                    page,
+                    slot,
+                    key,
+                    okey,
+                    data,
+                } => LogPayload::Delete {
+                    table,
+                    page,
+                    slot,
+                    key,
+                    okey,
+                    before: data,
+                },
+                LogPayload::Delete {
+                    table,
+                    page,
+                    slot,
+                    key,
+                    okey,
+                    before,
+                } => LogPayload::Insert {
+                    table,
+                    page,
+                    slot,
+                    key,
+                    okey,
+                    data: before,
+                },
+                other => other,
+            };
+            LogRecord {
+                txn: rec.txn,
+                payload,
+            }
+        };
+        for (comp, fwd) in compensations.iter().zip(forward.iter().rev()) {
+            assert_eq!(*comp, invert(fwd));
+        }
+
+        let (rec, report) = Database::recover(DatabaseConfig::default().in_memory(), &log).unwrap();
+        assert_eq!(report.undone, 0, "the aborted txn is settled by redo");
+        assert_eq!(
+            rec.state_hash(),
+            before,
+            "recovery reproduces the pre-txn state"
+        );
     }
 
     #[test]

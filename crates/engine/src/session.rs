@@ -1,23 +1,30 @@
 //! Sessions and transactions.
 //!
-//! A [`Session`] routes each transaction through the database's
-//! configured [`crate::BackendKind`]: the same [`Txn`] API executes
-//! under hierarchical two-phase locking (the default) or under the
-//! MVCC/optimistic engine from `sli-mvcc`. Workload code is
-//! backend-agnostic as long as it retries retryable errors —
+//! A [`Session`] owns one lock-manager agent and one concurrency-backend
+//! object (see `backend.rs`), both built when it opens. [`Txn`] is the
+//! backend-agnostic shell every transaction runs through: it probes the
+//! indexes, asks the backend for the lock or intent a row access needs,
+//! charges the buffer-pool touch and synthetic row cost, and hands the
+//! read or write itself to the backend — hierarchical two-phase locking
+//! (the default) or the MVCC/optimistic engine from `sli-mvcc`. Workload
+//! code is backend-agnostic as long as it retries retryable errors —
 //! [`TxnError::Validation`] joins deadlock/timeout victims in that set.
 
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::Bytes;
-use sli_core::{AgentSliState, LockError, LockId, LockMode, TxnLockState};
-use sli_mvcc::{MvccStore, MvccTxn, ReadEntry, WriteError, WriteKind, WriteOp};
+use sli_core::{AgentSliState, LockError, LockId, LockMode};
+use sli_mvcc::{WriteKind, WriteOp};
 use sli_profiler::{Category, Component};
 use sli_storage::Rid;
-use sli_wal::{LogRecord, Lsn, WalError};
+use sli_wal::WalError;
 
+use crate::backend::Backend;
 use crate::db::{Database, EngineError, TableHandle};
+use crate::locked::Locked;
+use crate::mvcc::Mvcc;
 
 /// Why a transaction failed. Deadlocks, timeouts, and validation
 /// conflicts are retryable; user aborts model the paper's NDBB-style
@@ -75,21 +82,14 @@ impl TxnError {
     }
 }
 
-pub(crate) struct SessionState {
-    pub(crate) agent: AgentSliState,
-    pub(crate) ts: TxnLockState,
-    /// MVCC scratch, reused across transactions (empty on the locked
-    /// backend).
-    pub(crate) mvcc: MvccTxn,
-}
-
 /// A worker thread's connection to the database: owns one lock-manager
 /// agent (and with it the SLI inherited-lock list that carries locks from
-/// one transaction to the next), plus the per-session MVCC scratch when
-/// the database runs the `mvcc` backend.
+/// one transaction to the next) and the backend object whose scratch its
+/// transactions reuse.
 pub struct Session {
     db: Arc<Database>,
-    state: RefCell<SessionState>,
+    agent: RefCell<AgentSliState>,
+    backend: RefCell<Box<dyn Backend>>,
 }
 
 impl Session {
@@ -98,14 +98,14 @@ impl Session {
             LockError::TooManyAgents { max } => EngineError::TooManyAgents { max },
             other => unreachable!("register_agent returned {other:?}"),
         })?;
-        let ts = TxnLockState::new(agent.slot());
+        let backend: Box<dyn Backend> = match &db.mvcc {
+            Some(store) => Box::new(Mvcc::new(Arc::clone(store))),
+            None => Box::new(Locked::new(agent.slot())),
+        };
         Ok(Session {
             db,
-            state: RefCell::new(SessionState {
-                agent,
-                ts,
-                mvcc: MvccTxn::new(),
-            }),
+            agent: RefCell::new(agent),
+            backend: RefCell::new(backend),
         })
     }
 
@@ -117,10 +117,16 @@ impl Session {
         body: impl FnOnce(&mut Txn<'_>) -> Result<T, TxnError>,
     ) -> Result<T, TxnError> {
         let _app = sli_profiler::enter(Category::Work(Component::Application));
-        let state = &mut *self.state.borrow_mut();
-        let mut txn = {
+        let agent = &mut *self.agent.borrow_mut();
+        let backend = &mut **self.backend.borrow_mut();
+        {
             let _t = sli_profiler::enter(Category::Work(Component::TxnManager));
-            self.db.backend.begin_txn(&self.db, state)
+            backend.begin(&self.db, agent);
+        }
+        let mut txn = Txn {
+            db: &self.db,
+            agent,
+            backend,
         };
         match body(&mut txn) {
             Ok(v) => txn.commit().map(|()| v),
@@ -132,7 +138,8 @@ impl Session {
     }
 
     /// Run a transaction, retrying deadlock/timeout victims and
-    /// validation conflicts up to `max_retries` times. Non-retryable
+    /// validation conflicts up to `max_retries` times: three yields, then
+    /// sleeps doubling from 2 µs to 1 ms between attempts. Non-retryable
     /// errors pass through.
     pub fn run_with_retries<T>(
         &self,
@@ -144,6 +151,7 @@ impl Session {
             match self.run(&mut body) {
                 Err(e) if e.is_retryable() && attempts < max_retries => {
                     attempts += 1;
+                    back_off(attempts);
                 }
                 other => return other,
             }
@@ -157,166 +165,30 @@ impl Session {
 
     /// Number of locks currently parked on this session's agent by SLI.
     pub fn inherited_locks(&self) -> usize {
-        self.state.borrow().agent.inherited_count()
+        self.agent.borrow().inherited_count()
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        let state = &mut *self.state.borrow_mut();
-        self.db.lockmgr.retire_agent(&mut state.agent);
+        self.db.lockmgr.retire_agent(self.agent.get_mut());
     }
 }
 
-enum UndoEntry {
-    Update {
-        table: TableHandle,
-        rid: Rid,
-        before: Bytes,
-    },
-    Insert {
-        table: TableHandle,
-        rid: Rid,
-        key: u64,
-        ordered_key: Option<u64>,
-    },
-    Delete {
-        table: TableHandle,
-        rid: Rid,
-        before: Bytes,
-        key: u64,
-        ordered_key: Option<u64>,
-    },
-}
-
-/// The locked (2PL) execution state of one transaction.
-pub(crate) struct LockedOps<'a> {
-    ts: &'a mut TxnLockState,
-    agent: &'a mut AgentSliState,
-    undo: Vec<UndoEntry>,
-    wrote: bool,
-    last_lsn: Lsn,
-}
-
-impl LockedOps<'_> {
-    fn lock(&mut self, db: &Database, id: LockId, mode: LockMode) -> Result<(), TxnError> {
-        db.lockmgr.lock(self.ts, self.agent, id, mode)?;
-        Ok(())
-    }
-
-    fn record_lock(
-        &mut self,
-        db: &Database,
-        table: TableHandle,
-        rid: Rid,
-        mode: LockMode,
-    ) -> Result<(), TxnError> {
-        self.lock(
-            db,
-            LockId::Record(table.table_id(), rid.page, rid.slot),
-            mode,
-        )
-    }
-
-    fn log_write(&mut self, db: &Database, rec: LogRecord) {
-        if !self.wrote {
-            self.wrote = true;
-            db.log.append(LogRecord::begin(self.ts.txn_seq()));
-        }
-        self.last_lsn = db.log.append(rec);
-    }
-}
-
-/// The MVCC/optimistic execution state of one transaction.
-pub(crate) struct MvccOps<'a> {
-    txn: &'a mut MvccTxn,
-    store: Arc<MvccStore>,
-}
-
-impl MvccOps<'_> {
-    /// Snapshot read of `(table, rid)`: own uncommitted write if any,
-    /// else the version visible at `read_ts` (entered into the read
-    /// set). `Ok(None)` means the record is invisible to this snapshot.
-    fn read_rid(
-        &mut self,
-        db: &Database,
-        table: TableHandle,
-        rid: Rid,
-    ) -> Result<Option<Bytes>, TxnError> {
-        if let Some(op) = self.txn.own_write(table.0, rid) {
-            // Own provisional; no read-set entry needed — our
-            // provisional blocks any other writer from committing a
-            // newer version underneath us.
-            return Ok(op.after.clone());
-        }
-        let t = db.table(table);
-        // Heap first, chain second: when no chain exists at probe time
-        // the heap value IS the base version (chains are created before
-        // any commit mutates the heap, and collapse only runs
-        // quiesced).
-        let heap_base = {
-            let _s = sli_profiler::enter(Category::Work(Component::Storage));
-            t.heap.read(rid)
-        };
-        let obs = self
-            .store
-            .read(table.0, rid, self.txn.read_ts, self.txn.token(), heap_base);
-        self.txn.reads.push(ReadEntry {
-            table: table.0,
-            rid,
-            seen: obs.seen,
-        });
-        Ok(obs.data)
-    }
-
-    /// Install a provisional write (`None` deletes); returns the
-    /// snapshot-visible pre-image.
-    fn write_rid(
-        &mut self,
-        db: &Database,
-        table: TableHandle,
-        rid: Rid,
-        data: Option<Bytes>,
-    ) -> Result<Option<Bytes>, TxnError> {
-        let t = db.table(table);
-        let heap_base = {
-            let _s = sli_profiler::enter(Category::Work(Component::Storage));
-            t.heap.read(rid)
-        };
-        self.store
-            .write(
-                table.0,
-                rid,
-                self.txn.read_ts,
-                self.txn.token(),
-                data,
-                heap_base,
-            )
-            .map_err(|e| match e {
-                WriteError::Conflict(why) => TxnError::Validation(why),
-                WriteError::NotFound => TxnError::NotFound,
-            })
-    }
-}
-
-pub(crate) enum TxnOps<'a> {
-    Locked(LockedOps<'a>),
-    Mvcc(MvccOps<'a>),
-}
-
-impl<'a> TxnOps<'a> {
-    pub(crate) fn locked(ts: &'a mut TxnLockState, agent: &'a mut AgentSliState) -> TxnOps<'a> {
-        TxnOps::Locked(LockedOps {
-            ts,
-            agent,
-            undo: Vec::new(),
-            wrote: false,
-            last_lsn: 0,
-        })
-    }
-
-    pub(crate) fn mvcc(txn: &'a mut MvccTxn, store: Arc<MvccStore>) -> TxnOps<'a> {
-        TxnOps::Mvcc(MvccOps { txn, store })
+/// Wait before retry number `retry`. An MVCC writer aborts at once when
+/// it meets another transaction's uncommitted version, whose owner may be
+/// parked on its log force or off its CPU: retrying at once loses to it
+/// again, dozens of times in the microseconds it is away (a deadlock
+/// victim's rival likewise needs time to finish). Three yields, then
+/// sleeps doubling from 2 µs to 1 ms.
+fn back_off(retry: usize) {
+    if retry <= 3 {
+        std::thread::yield_now();
+    } else {
+        // A pause, not a wait for another thread's signal: nothing is
+        // expected to wake it, so no wakeup can be lost.
+        // sli-lint: allow(sleep)
+        std::thread::sleep(Duration::from_micros(1 << (retry - 3).min(10)));
     }
 }
 
@@ -341,34 +213,25 @@ fn row_work(db: &Database) {
 /// read set before publishing — no lock-manager traffic at all.
 pub struct Txn<'a> {
     db: &'a Arc<Database>,
-    ops: TxnOps<'a>,
+    agent: &'a mut AgentSliState,
+    backend: &'a mut dyn Backend,
 }
 
-impl<'a> Txn<'a> {
-    pub(crate) fn new(db: &'a Arc<Database>, ops: TxnOps<'a>) -> Txn<'a> {
-        Txn { db, ops }
-    }
-
+impl Txn<'_> {
     /// Transaction sequence number. Locked backend: unique per
     /// database. MVCC: the snapshot timestamp (the commit timestamp —
     /// which becomes the WAL transaction id — is only allocated at
     /// commit).
     pub fn seq(&self) -> u64 {
-        match &self.ops {
-            TxnOps::Locked(l) => l.ts.txn_seq(),
-            TxnOps::Mvcc(m) => m.txn.read_ts,
-        }
+        self.backend.seq()
     }
 
     /// Explicitly lock a whole table (e.g. `S` for a stable scan, `X` for
     /// bulk maintenance). No-op on the MVCC backend: scans read a
     /// consistent snapshot without locks.
     pub fn lock_table(&mut self, table: TableHandle, mode: LockMode) -> Result<(), TxnError> {
-        let db = self.db;
-        match &mut self.ops {
-            TxnOps::Locked(l) => l.lock(db, LockId::Table(table.table_id()), mode),
-            TxnOps::Mvcc(_) => Ok(()),
-        }
+        let id = LockId::Table(table.table_id());
+        self.backend.lock(self.db, self.agent, id, mode)
     }
 
     /// Index probe: key to RID. Locked backend: unlocked — the record
@@ -376,10 +239,8 @@ impl<'a> Txn<'a> {
     /// safe. MVCC: consults the transaction's own insert/delete overlay
     /// before the shared index.
     pub fn lookup(&mut self, table: TableHandle, key: u64) -> Option<Rid> {
-        if let TxnOps::Mvcc(m) = &self.ops {
-            if let Some(&overlay) = m.txn.key_overlay.get(&(table.0, key)) {
-                return overlay;
-            }
+        if let Some(own) = self.backend.own_key(table.0, key) {
+            return own;
         }
         let _s = sli_profiler::enter(Category::Work(Component::Storage));
         self.db.table(table).primary.get(key)
@@ -387,22 +248,8 @@ impl<'a> Txn<'a> {
 
     /// Read a record by RID (S lock / snapshot-visible version).
     pub fn read(&mut self, table: TableHandle, rid: Rid) -> Result<Bytes, TxnError> {
-        let db = self.db;
-        match &mut self.ops {
-            TxnOps::Locked(l) => {
-                l.record_lock(db, table, rid, LockMode::S)?;
-                let t = db.table(table);
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                t.heap.read(rid).ok_or(TxnError::NotFound)
-            }
-            TxnOps::Mvcc(m) => {
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                m.read_rid(db, table, rid)?.ok_or(TxnError::NotFound)
-            }
-        }
+        self.read_as(table, rid, LockMode::S)?
+            .ok_or(TxnError::NotFound)
     }
 
     /// Read a record by primary key.
@@ -415,60 +262,14 @@ impl<'a> Txn<'a> {
     /// the X lock up front. MVCC: identical to [`Txn::read`] — the
     /// conflict surfaces at the write or at commit-time validation.
     pub fn read_for_update(&mut self, table: TableHandle, rid: Rid) -> Result<Bytes, TxnError> {
-        let db = self.db;
-        match &mut self.ops {
-            TxnOps::Locked(l) => {
-                l.record_lock(db, table, rid, LockMode::X)?;
-                let t = db.table(table);
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                t.heap.read(rid).ok_or(TxnError::NotFound)
-            }
-            TxnOps::Mvcc(_) => self.read(table, rid),
-        }
+        self.read_as(table, rid, LockMode::X)?
+            .ok_or(TxnError::NotFound)
     }
 
     /// Overwrite a record by RID (X lock / provisional version).
     pub fn update(&mut self, table: TableHandle, rid: Rid, data: &[u8]) -> Result<(), TxnError> {
-        let db = self.db;
-        match &mut self.ops {
-            TxnOps::Locked(l) => {
-                l.record_lock(db, table, rid, LockMode::X)?;
-                let t = db.table(table);
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                let before = {
-                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                    t.heap
-                        .update(rid, Bytes::copy_from_slice(data))
-                        .ok_or(TxnError::NotFound)?
-                };
-                l.log_write(
-                    db,
-                    LogRecord::update(l.ts.txn_seq(), table.0, rid.page, rid.slot, &before, data),
-                );
-                l.undo.push(UndoEntry::Update { table, rid, before });
-                Ok(())
-            }
-            TxnOps::Mvcc(m) => {
-                if matches!(m.txn.own_write(table.0, rid), Some(op) if op.after.is_none()) {
-                    return Err(TxnError::NotFound); // updating own delete
-                }
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                let after = Bytes::copy_from_slice(data);
-                let before = m.write_rid(db, table, rid, Some(after.clone()))?;
-                m.txn.push_write(WriteOp {
-                    table: table.0,
-                    rid,
-                    kind: WriteKind::Update,
-                    before,
-                    after: Some(after),
-                });
-                Ok(())
-            }
-        }
+        let after = Bytes::copy_from_slice(data);
+        self.write(table, rid, WriteKind::Update, Some(after))
     }
 
     /// Read-modify-write by primary key.
@@ -500,71 +301,19 @@ impl<'a> Txn<'a> {
         ordered_key: Option<u64>,
         data: &[u8],
     ) -> Result<Rid, TxnError> {
-        let db = self.db;
-        match &mut self.ops {
-            TxnOps::Locked(l) => {
-                let t = db.table(table);
-                let rid = {
-                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                    t.heap.insert(Bytes::copy_from_slice(data))
-                };
-                // Lock the new record exclusively *before* publishing it
-                // in the index, so no reader can see it until we commit.
-                l.record_lock(db, table, rid, LockMode::X)?;
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                {
-                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                    t.primary.insert(key, rid);
-                    if let Some(ok) = ordered_key {
-                        t.ordered.insert(ok, rid);
-                    }
-                }
-                l.log_write(
-                    db,
-                    LogRecord::insert(
-                        l.ts.txn_seq(),
-                        table.0,
-                        rid.page,
-                        rid.slot,
-                        key,
-                        ordered_key,
-                        data,
-                    ),
-                );
-                l.undo.push(UndoEntry::Insert {
-                    table,
-                    rid,
-                    key,
-                    ordered_key,
-                });
-                Ok(rid)
-            }
-            TxnOps::Mvcc(m) => {
-                let t = db.table(table);
-                let bytes = Bytes::copy_from_slice(data);
-                let rid = {
-                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                    t.heap.insert(bytes.clone())
-                };
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                m.store
-                    .insert_provisional(table.0, rid, m.txn.token(), bytes.clone());
-                m.txn.push_write(WriteOp {
-                    table: table.0,
-                    rid,
-                    kind: WriteKind::Insert {
-                        key,
-                        okey: ordered_key,
-                    },
-                    before: None,
-                    after: Some(bytes),
-                });
-                m.txn.key_overlay.insert((table.0, key), Some(rid));
-                Ok(rid)
-            }
-        }
+        let after = Bytes::copy_from_slice(data);
+        let rid = {
+            let _s = sli_profiler::enter(Category::Work(Component::Storage));
+            self.db.table(table).heap.insert(after.clone())
+        };
+        // The new record is X-locked *before* it is published in the
+        // index, so no reader can see it until we commit.
+        let kind = WriteKind::Insert {
+            key,
+            okey: ordered_key,
+        };
+        self.write(table, rid, kind, Some(after))?;
+        Ok(rid)
     }
 
     /// Delete a record by primary key. MVCC: installs a provisional
@@ -577,70 +326,21 @@ impl<'a> Txn<'a> {
         ordered_key: Option<u64>,
     ) -> Result<(), TxnError> {
         let rid = self.lookup(table, key).ok_or(TxnError::NotFound)?;
-        let db = self.db;
-        match &mut self.ops {
-            TxnOps::Locked(l) => {
-                l.record_lock(db, table, rid, LockMode::X)?;
-                let t = db.table(table);
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                let before = {
-                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                    let before = t.heap.delete(rid).ok_or(TxnError::NotFound)?;
-                    t.primary.remove(key);
-                    if let Some(ok) = ordered_key {
-                        t.ordered.remove(ok);
-                    }
-                    before
-                };
-                l.log_write(
-                    db,
-                    LogRecord::delete(
-                        l.ts.txn_seq(),
-                        table.0,
-                        rid.page,
-                        rid.slot,
-                        key,
-                        ordered_key,
-                        &before,
-                    ),
-                );
-                l.undo.push(UndoEntry::Delete {
-                    table,
-                    rid,
-                    before,
-                    key,
-                    ordered_key,
-                });
-                Ok(())
-            }
-            TxnOps::Mvcc(m) => {
-                db.pool.access(table.0, rid.page);
-                row_work(db);
-                let before = m.write_rid(db, table, rid, None)?;
-                m.txn.push_write(WriteOp {
-                    table: table.0,
-                    rid,
-                    kind: WriteKind::Delete {
-                        key,
-                        okey: ordered_key,
-                    },
-                    before,
-                    after: None,
-                });
-                m.txn.key_overlay.insert((table.0, key), None);
-                Ok(())
-            }
-        }
+        let kind = WriteKind::Delete {
+            key,
+            okey: ordered_key,
+        };
+        self.write(table, rid, kind, None)
     }
 
     /// Range-scan the ordered secondary index over `[lo, hi]`, up to
     /// `limit` records; returns the number visited. Locked backend:
-    /// S-locks each visited record. MVCC: reads each record's
-    /// snapshot-visible version without any locks, silently skipping
-    /// records invisible to the snapshot (committed after it, or
-    /// tombstoned before it). Own uncommitted inserts are not yet in
-    /// the shared index and are not visited.
+    /// S-locks each visited record and fails with `NotFound` on one that
+    /// vanished. MVCC: reads each record's snapshot-visible version
+    /// without any locks, silently skipping records invisible to the
+    /// snapshot (committed after it, or tombstoned before it). Own
+    /// uncommitted inserts are not yet in the shared index and are not
+    /// visited.
     pub fn scan_ordered(
         &mut self,
         table: TableHandle,
@@ -653,23 +353,11 @@ impl<'a> Txn<'a> {
             let _s = sli_profiler::enter(Category::Work(Component::Storage));
             self.db.table(table).ordered.range(lo, hi, limit)
         };
-        let db = self.db;
         let mut n = 0;
         for (key, rid) in hits {
-            match &mut self.ops {
-                TxnOps::Locked(_) => {
-                    let data = self.read(table, rid)?;
-                    visit(key, &data);
-                    n += 1;
-                }
-                TxnOps::Mvcc(m) => {
-                    db.pool.access(table.0, rid.page);
-                    row_work(db);
-                    if let Some(data) = m.read_rid(db, table, rid)? {
-                        visit(key, &data);
-                        n += 1;
-                    }
-                }
+            if let Some(data) = self.read_as(table, rid, LockMode::S)? {
+                visit(key, &data);
+                n += 1;
             }
         }
         Ok(n)
@@ -694,243 +382,55 @@ impl<'a> Txn<'a> {
         TxnError::UserAbort(why)
     }
 
+    /// Take the record lock (or intent) `mode` on `rid`, then charge the
+    /// row access every backend pays.
+    fn touch(&mut self, table: TableHandle, rid: Rid, mode: LockMode) -> Result<(), TxnError> {
+        let id = LockId::Record(table.table_id(), rid.page, rid.slot);
+        self.backend.lock(self.db, self.agent, id, mode)?;
+        self.db.pool.access(table.0, rid.page);
+        row_work(self.db);
+        Ok(())
+    }
+
+    /// Read `rid` under `mode`; `Ok(None)` if it is invisible here.
+    fn read_as(
+        &mut self,
+        table: TableHandle,
+        rid: Rid,
+        mode: LockMode,
+    ) -> Result<Option<Bytes>, TxnError> {
+        self.touch(table, rid, mode)?;
+        self.backend.read(&self.db.table(table), table.0, rid)
+    }
+
+    /// X-lock and touch `rid`, then hand the write to the backend, which
+    /// fills in its before image.
+    fn write(
+        &mut self,
+        table: TableHandle,
+        rid: Rid,
+        kind: WriteKind,
+        after: Option<Bytes>,
+    ) -> Result<(), TxnError> {
+        self.touch(table, rid, LockMode::X)?;
+        let op = WriteOp {
+            table: table.0,
+            rid,
+            kind,
+            before: None,
+            after,
+        };
+        self.backend.write(self.db, &self.db.table(table), op)
+    }
+
     fn commit(self) -> Result<(), TxnError> {
         let _t = sli_profiler::enter(Category::Work(Component::TxnManager));
-        let db = self.db;
-        match self.ops {
-            TxnOps::Locked(l) => {
-                if l.wrote {
-                    let seq = l.ts.txn_seq();
-                    let lsn = db.log.append(LogRecord::commit(seq));
-                    // Early-release policies drop record-level S locks here
-                    // — after the commit LSN is assigned, before the commit
-                    // wait (the session parks on the committer queue until a
-                    // group-commit flush covers `lsn`). A no-op for every
-                    // other policy.
-                    db.lockmgr.pre_commit_release(l.ts);
-                    let forced = db.log.commit(seq, lsn);
-                    // On a flush failure the in-memory effects are kept and
-                    // the locks released as committed: the Commit record is
-                    // already in the log stream, so rolling back here could
-                    // contradict what a torn prefix preserves. The caller
-                    // simply never gets the ack — recovery decides the
-                    // transaction's fate from the durable prefix alone.
-                    db.lockmgr.end_txn(l.ts, l.agent, true);
-                    return forced.map_err(TxnError::Durability);
-                }
-                db.lockmgr.end_txn(l.ts, l.agent, true);
-                Ok(())
-            }
-            TxnOps::Mvcc(m) => {
-                let slot = m.txn.slot;
-                let token = m.txn.token();
-                if m.txn.writes.is_empty() {
-                    // Read-only: the snapshot is trivially serializable at
-                    // read_ts — no validation, no logging, no flush wait.
-                    m.store.note_ro_commit();
-                    m.store.end(slot);
-                    return Ok(());
-                }
-                // Allocate the commit timestamp (which doubles as the WAL
-                // transaction id) and enter the preparing state: readers at
-                // or above `commit_ts` now wait for our outcome instead of
-                // resolving an inconsistent cut.
-                let commit_ts = m.store.prepare_commit(slot);
-                if let Err(why) = m.store.validate(&m.txn.reads, token) {
-                    // Backward validation failed: discard every provisional
-                    // version and reclaim heap rows of own inserts (never
-                    // published in an index). Nothing was logged.
-                    m.store.discard(m.txn.written_rids(), token);
-                    for (tid, rid) in m.txn.inserted_rids() {
-                        if let Some(t) = db.table_by_id(tid) {
-                            t.heap.delete(rid);
-                        }
-                    }
-                    m.store.finish_commit(slot);
-                    m.store.end(slot);
-                    m.store.note_validation_abort();
-                    return Err(TxnError::Validation(why));
-                }
-                // WAL first: Begin + one record per write op + Commit, all
-                // under the commit timestamp. Same group-commit pipeline as
-                // the locked backend.
-                db.log.append(LogRecord::begin(commit_ts));
-                for op in &m.txn.writes {
-                    let rec = match op.kind {
-                        WriteKind::Insert { key, okey } => LogRecord::insert(
-                            commit_ts,
-                            op.table,
-                            op.rid.page,
-                            op.rid.slot,
-                            key,
-                            okey,
-                            op.after.as_ref().expect("insert has an after image"),
-                        ),
-                        WriteKind::Update => LogRecord::update(
-                            commit_ts,
-                            op.table,
-                            op.rid.page,
-                            op.rid.slot,
-                            op.before.as_ref().expect("update has a before image"),
-                            op.after.as_ref().expect("update has an after image"),
-                        ),
-                        WriteKind::Delete { key, okey } => LogRecord::delete(
-                            commit_ts,
-                            op.table,
-                            op.rid.page,
-                            op.rid.slot,
-                            key,
-                            okey,
-                            op.before.as_ref().expect("delete has a before image"),
-                        ),
-                    };
-                    db.log.append(rec);
-                }
-                let lsn = db.log.append(LogRecord::commit(commit_ts));
-                // Flip the provisional versions to committed at commit_ts,
-                // then apply the heap/index effects in execution order.
-                // Readers keep resolving through the chains (the heap value
-                // only matters where no chain exists), so the order within
-                // this block is not visible to them.
-                m.store.install(m.txn.written_rids(), token, commit_ts);
-                {
-                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                    for op in &m.txn.writes {
-                        let Some(t) = db.table_by_id(op.table) else {
-                            continue;
-                        };
-                        match op.kind {
-                            WriteKind::Insert { key, okey } => {
-                                t.primary.insert(key, op.rid);
-                                if let Some(ok) = okey {
-                                    t.ordered.insert(ok, op.rid);
-                                }
-                            }
-                            WriteKind::Update => {
-                                t.heap.update(
-                                    op.rid,
-                                    op.after.clone().expect("update has an after image"),
-                                );
-                            }
-                            WriteKind::Delete { key, okey } => {
-                                t.primary.remove(key);
-                                if let Some(ok) = okey {
-                                    t.ordered.remove(ok);
-                                }
-                                // The heap row stays allocated until GC
-                                // collapses the tombstone chain: freeing it
-                                // now could let a concurrent insert reuse
-                                // the RID while chains still reference it.
-                            }
-                        }
-                    }
-                }
-                m.store.finish_commit(slot);
-                m.store.end(slot);
-                m.store.maybe_gc();
-                // Park on the committer queue until a group-commit flush
-                // covers our commit record — identical ack contract to the
-                // locked backend.
-                db.log.commit(commit_ts, lsn).map_err(TxnError::Durability)
-            }
-        }
+        self.backend.commit(self.db, self.agent)
     }
 
     fn rollback(self) {
         let _t = sli_profiler::enter(Category::Work(Component::TxnManager));
-        let db = self.db;
-        match self.ops {
-            TxnOps::Locked(mut l) => {
-                let seq = l.ts.txn_seq();
-                // Undo in reverse order while still holding all X locks.
-                // Every undo appends a compensation record (the inverse
-                // operation, same txn id) BEFORE the final Abort: if the
-                // Abort reaches the durable log, recovery can restore this
-                // loser by pure redo; if the crash lands mid-compensation,
-                // the undo pass reverses whatever made it out (its
-                // operations are tolerant re-inverses).
-                for entry in l.undo.drain(..).rev() {
-                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                    match entry {
-                        UndoEntry::Update { table, rid, before } => {
-                            let t = db.table(table);
-                            if let Some(dirty) = t.heap.update(rid, before.clone()) {
-                                db.log.append(LogRecord::update(
-                                    seq, table.0, rid.page, rid.slot, &dirty, &before,
-                                ));
-                            }
-                        }
-                        UndoEntry::Insert {
-                            table,
-                            rid,
-                            key,
-                            ordered_key,
-                        } => {
-                            let t = db.table(table);
-                            let gone = t.heap.delete(rid);
-                            t.primary.remove(key);
-                            if let Some(ok) = ordered_key {
-                                t.ordered.remove(ok);
-                            }
-                            if let Some(data) = gone {
-                                db.log.append(LogRecord::delete(
-                                    seq,
-                                    table.0,
-                                    rid.page,
-                                    rid.slot,
-                                    key,
-                                    ordered_key,
-                                    &data,
-                                ));
-                            }
-                        }
-                        UndoEntry::Delete {
-                            table,
-                            rid,
-                            before,
-                            key,
-                            ordered_key,
-                        } => {
-                            let t = db.table(table);
-                            t.heap.restore(rid, before.clone());
-                            t.primary.insert(key, rid);
-                            if let Some(ok) = ordered_key {
-                                t.ordered.insert(ok, rid);
-                            }
-                            db.log.append(LogRecord::insert(
-                                seq,
-                                table.0,
-                                rid.page,
-                                rid.slot,
-                                key,
-                                ordered_key,
-                                &before,
-                            ));
-                        }
-                    }
-                }
-                if l.wrote {
-                    db.log.abort(seq);
-                }
-                db.lockmgr.end_txn(l.ts, l.agent, false);
-            }
-            TxnOps::Mvcc(m) => {
-                // Nothing was logged and nothing published: drop the
-                // provisional versions and reclaim the heap rows of own
-                // inserts (never visible to anyone else).
-                let token = m.txn.token();
-                m.store.discard(m.txn.written_rids(), token);
-                {
-                    let _s = sli_profiler::enter(Category::Work(Component::Storage));
-                    for (tid, rid) in m.txn.inserted_rids() {
-                        if let Some(t) = db.table_by_id(tid) {
-                            t.heap.delete(rid);
-                        }
-                    }
-                }
-                m.store.end(m.txn.slot);
-            }
-        }
+        self.backend.rollback(self.db, self.agent);
     }
 }
 

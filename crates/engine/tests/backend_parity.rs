@@ -1,4 +1,4 @@
-//! Cross-backend parity: the `ConcurrencyBackend` seam must not change
+//! Cross-backend parity: the backend seam must not change
 //! *what* the engine computes, only *how* concurrent transactions are
 //! isolated.
 //!
@@ -11,7 +11,7 @@
 //!    the `TxnError::Validation` retry contract actually converges.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use sli_engine::{BackendKind, Database, DatabaseConfig, TxnError};
 
@@ -126,7 +126,7 @@ fn deterministic_schedule_hashes_identically_across_backends() {
 fn concurrent_transfers_preserve_balance_under_mvcc() {
     const ACCOUNTS: u64 = 8;
     const THREADS: usize = 4;
-    const TRANSFERS: usize = 150;
+    const TRANSFERS: usize = 1_000;
     const OPENING: i64 = 1_000;
 
     let db = open(BackendKind::Mvcc);
@@ -136,12 +136,18 @@ fn concurrent_transfers_preserve_balance_under_mvcc() {
     }
 
     let retried = Arc::new(AtomicU64::new(0));
+    // Released together: a thread spawned late would otherwise find the
+    // others finished (a few hundred transfers take a millisecond in a
+    // release build) and the run would see no conflict at all.
+    let start = Barrier::new(THREADS);
     std::thread::scope(|scope| {
         for me in 0..THREADS {
             let db = Arc::clone(&db);
             let retried = Arc::clone(&retried);
+            let start = &start;
             scope.spawn(move || {
                 let s = db.session();
+                start.wait();
                 let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(me as u64 + 1);
                 for i in 0..TRANSFERS {
                     rng = rng

@@ -1,10 +1,11 @@
 //! # sli-mvcc — multiversion / optimistic concurrency control
 //!
-//! The second concurrency backend behind the engine's
-//! `ConcurrencyBackend` seam (ROADMAP item 4): versioned records layered
-//! over `HeapTable` Rids with validate-at-commit optimistic execution,
-//! after Larson et al., *High-Performance Concurrency Control Mechanisms
-//! for Main-Memory Databases* (arXiv 1201.0228).
+//! The second concurrency backend behind the engine's backend seam (the
+//! engine's `mvcc.rs` implements its `Backend` trait over this crate):
+//! versioned records layered over `HeapTable` Rids with validate-at-commit
+//! optimistic execution, after Larson et al., *High-Performance
+//! Concurrency Control Mechanisms for Main-Memory Databases* (arXiv
+//! 1201.0228).
 //!
 //! Division of labor:
 //!
@@ -17,14 +18,16 @@
 //!   visibility race, and the watermark-driven garbage collector.
 //! - [`MvccTxn`] is one transaction's private scratch: its snapshot
 //!   timestamp, read set (version identities for backward validation),
-//!   write set (redo/undo images for the WAL), and the overlays that
-//!   make its own uncommitted writes visible to itself.
+//!   write set ([`WriteOp`]s — the engine's one row-write format, which
+//!   its locked backend's undo log shares), and the overlays that make
+//!   its own uncommitted writes visible to itself.
 //!
 //! The engine (`sli-engine`) wires these under its `Txn` API: reads
 //! resolve a snapshot-visible version and enter the read set, writes
 //! install provisional versions (first-writer-wins), and commit runs
-//! backward validation before flipping provisionals to the commit
-//! timestamp and driving the shared WAL group-commit pipeline.
+//! backward validation, logs the write set through the shared WAL
+//! group-commit pipeline, applies it to the heap, and only then flips
+//! the provisionals to the commit timestamp.
 
 #![warn(missing_docs)]
 

@@ -429,7 +429,8 @@ impl MvccStore {
     /// Offline GC: with active snapshots, prune (as
     /// [`MvccStore::prune_pass`]); with none, collapse chains entirely —
     /// the heap already holds the newest committed value (commit
-    /// applies heap effects before deregistering) — invoking
+    /// applies heap effects before flipping its provisionals, so no
+    /// older commit's heap write can land after a newer one) — invoking
     /// `on_collapse` for tombstone chains so the caller can reclaim
     /// the heap row.
     ///

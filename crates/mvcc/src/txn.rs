@@ -47,9 +47,10 @@ pub enum WriteKind {
     },
 }
 
-/// One write-set entry, in execution order. `before`/`after` are the
-/// WAL images (`before` is `None` for inserts, `after` is `None` for
-/// deletes).
+/// One row write, in execution order: the MVCC write set and the
+/// engine's locked undo log both hold these, and each maps onto one WAL
+/// record. `before`/`after` are the row images (`before` is `None` for
+/// inserts, `after` is `None` for deletes).
 #[derive(Clone, Debug)]
 pub struct WriteOp {
     /// Table id written.
