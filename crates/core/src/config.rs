@@ -1,11 +1,9 @@
 //! Configuration for the lock manager and SLI.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::id::LockLevel;
-use crate::policy::{LockPolicy, PolicyKind};
-use crate::scope::PolicyMap;
+use crate::policy::PolicyKind;
 
 /// Tuning knobs for Speculative Lock Inheritance.
 ///
@@ -69,8 +67,8 @@ pub struct FastPathConfig {
     /// latched path (default 8).
     pub retry_budget: u32,
     /// Every Nth fast-path-eligible acquire per agent falls through to the
-    /// latched path so the active [`LockPolicy`]'s `on_acquire` heat
-    /// sampling still observes a fraction of the traffic (and, under SLI,
+    /// latched path so the lock head's heat sampling still observes a
+    /// fraction of the traffic (and, under SLI,
     /// produces a queued request that *can* be inherited). 0 disables
     /// sampling entirely (SLI's hot signal then starves on grant-word
     /// heads — only useful for baseline measurements).
@@ -99,13 +97,8 @@ impl FastPathConfig {
 
 /// Configuration for the lock manager.
 ///
-/// The inheritance strategy is a scoped [`PolicyMap`]: a default
-/// [`LockPolicy`] plus optional per-table and per-level overrides,
-/// resolved once per lock head at creation. Construct a config with
-/// [`LockManagerConfig::with_policy`] (a uniform map — the pre-map global
-/// behaviour) and refine it with the builder methods
-/// ([`LockManagerConfig::table_policy`], [`LockManagerConfig::level_policy`],
-/// ...).
+/// The inheritance strategy is one [`PolicyKind`] for every lock:
+/// [`PolicyKind::PaperSli`] (the default) or [`PolicyKind::Baseline`].
 ///
 /// Deadlocks are detected Dreadlocks-style (Shore-MT's approach): waiting
 /// threads publish the set of agents they transitively wait on, and a
@@ -117,18 +110,17 @@ pub struct LockManagerConfig {
     /// two).
     pub buckets: usize,
     /// Upper bound on concurrently registered agent threads (sizes the
-    /// deadlock digest table and the per-agent `LockStats` shards, 384 B
-    /// each with a single policy scope).
+    /// deadlock digest table and the per-agent `LockStats` shards, 256 B
+    /// each).
     pub max_agents: usize,
     /// Give up on a lock wait after this long.
     pub lock_timeout: Duration,
     /// How often a blocked thread wakes to run deadlock checks.
     pub deadlock_poll: Duration,
-    /// SLI tuning knobs, consulted by the active policies.
+    /// SLI tuning knobs, consulted under [`PolicyKind::PaperSli`].
     pub sli: SliConfig,
-    /// The scoped policy map owning the SLI decision points (default scope
-    /// plus per-table / per-level overrides).
-    pub policies: PolicyMap,
+    /// Whether commits pass hot locks on (SLI) or release everything.
+    pub policy: PolicyKind,
     /// Capacity of each agent's [`LockRequest`] free pool (0 disables
     /// pooling). A warm pool makes the steady-state uncontended acquire
     /// path allocation-free.
@@ -145,7 +137,7 @@ impl Default for LockManagerConfig {
             lock_timeout: Duration::from_secs(2),
             deadlock_poll: Duration::from_micros(500),
             sli: SliConfig::default(),
-            policies: PolicyMap::default(),
+            policy: PolicyKind::default(),
             request_pool_cap: crate::sli::DEFAULT_REQUEST_POOL_CAP,
             fastpath: FastPathConfig::default(),
         }
@@ -153,60 +145,24 @@ impl Default for LockManagerConfig {
 }
 
 impl LockManagerConfig {
-    /// Defaults with the given default-scope inheritance policy (a uniform
-    /// map). Accepts either a [`PolicyKind`] or a custom
-    /// `Arc<dyn LockPolicy>`:
+    /// Defaults with the given inheritance policy:
     ///
     /// ```
     /// use sli_core::{LockManagerConfig, PolicyKind};
     /// let cfg = LockManagerConfig::with_policy(PolicyKind::Baseline);
-    /// assert_eq!(cfg.policies.default_policy().name(), "baseline");
+    /// assert!(!cfg.policy.inherits());
     /// ```
-    pub fn with_policy(policy: impl Into<Arc<dyn LockPolicy>>) -> Self {
+    pub fn with_policy(policy: PolicyKind) -> Self {
         LockManagerConfig {
-            policies: PolicyMap::single(policy),
+            policy,
             ..LockManagerConfig::default()
         }
-    }
-
-    /// Builder: replace the default scope's policy.
-    pub fn default_policy(mut self, policy: impl Into<Arc<dyn LockPolicy>>) -> Self {
-        self.policies.set_default(policy);
-        self
-    }
-
-    /// Builder: add a per-table policy override for the table named
-    /// `table`. Effective once the name is bound to a
-    /// [`crate::TableId`] (the engine binds at table creation via
-    /// [`crate::LockManager::bind_table_policy`]).
-    pub fn table_policy(mut self, table: &str, policy: impl Into<Arc<dyn LockPolicy>>) -> Self {
-        self.policies.add_table_override(table, policy);
-        self
-    }
-
-    /// Builder: add a per-level policy override. Note the criterion-5
-    /// caveat on [`PolicyMap::add_level_override`]: an *inheriting*
-    /// override below `Table` level only fires where its table ancestry
-    /// also inherits.
-    pub fn level_policy(
-        mut self,
-        level: LockLevel,
-        policy: impl Into<Arc<dyn LockPolicy>>,
-    ) -> Self {
-        self.policies.add_level_override(level, policy);
-        self
     }
 
     /// Builder: replace the lock-wait timeout.
     pub fn lock_timeout(mut self, timeout: Duration) -> Self {
         self.lock_timeout = timeout;
         self
-    }
-
-    /// The shipped [`PolicyKind`] matching the configured *default*
-    /// policy's name, if it is one of the built-ins.
-    pub fn policy_kind(&self) -> Option<PolicyKind> {
-        PolicyKind::from_name(self.policies.default_policy().name())
     }
 }
 
@@ -227,29 +183,16 @@ mod tests {
     #[test]
     fn default_policy_is_paper_sli() {
         let cfg = LockManagerConfig::default();
-        assert_eq!(cfg.policies.default_policy().name(), "paper-sli");
-        assert_eq!(cfg.policy_kind(), Some(PolicyKind::PaperSli));
-        assert!(cfg.policies.is_uniform());
+        assert_eq!(cfg.policy, PolicyKind::PaperSli);
+        assert_eq!(cfg.policy.name(), "paper-sli");
     }
 
     #[test]
-    fn with_policy_accepts_kinds_and_objects() {
-        let a = LockManagerConfig::with_policy(PolicyKind::Baseline);
-        assert!(!a.policies.default_policy().inherits());
-        let b = LockManagerConfig::with_policy(PolicyKind::EagerRelease.build())
-            .lock_timeout(Duration::from_millis(10));
-        assert!(b.policies.default_policy().early_release_shared());
-        assert_eq!(b.lock_timeout, Duration::from_millis(10));
-    }
-
-    #[test]
-    fn scoped_builders_grow_the_map() {
+    fn with_policy_keeps_the_other_defaults() {
         let cfg = LockManagerConfig::with_policy(PolicyKind::Baseline)
-            .table_policy("hot", PolicyKind::AggressiveSli)
-            .level_policy(LockLevel::Record, PolicyKind::PaperSli);
-        // default + table:hot + the synthetic root scope + level:record.
-        assert_eq!(cfg.policies.num_scopes(), 4);
-        assert!(cfg.policies.any_inherits());
-        assert_eq!(cfg.policy_kind(), Some(PolicyKind::Baseline));
+            .lock_timeout(Duration::from_millis(10));
+        assert_eq!(cfg.policy, PolicyKind::Baseline);
+        assert_eq!(cfg.lock_timeout, Duration::from_millis(10));
+        assert_eq!(cfg.buckets, LockManagerConfig::default().buckets);
     }
 }

@@ -21,9 +21,7 @@ use sli_profiler::Component;
 use crate::hot::HotTracker;
 use crate::id::LockId;
 use crate::mode::{LockMode, NUM_MODES};
-use crate::policy::AcquireSample;
 use crate::request::{LockRequest, RequestStatus};
-use crate::scope::HeadPolicy;
 use crate::stats::LockStats;
 use crate::word::GrantWord;
 
@@ -44,21 +42,16 @@ pub struct LockQueue {
     /// Every latched mutation re-publishes the queue-derived flag bits so
     /// the word and the queue summary always agree (see `crate::word`).
     word: Arc<GrantWord>,
-    /// The head's policy-scope id, mirrored here so queue-internal stat
-    /// bumps (inherited-blocker invalidation) attribute to the right
-    /// scope without reaching back to the head.
-    scope_id: u16,
 }
 
 impl LockQueue {
-    fn new(word: Arc<GrantWord>, scope_id: u16) -> Self {
+    fn new(word: Arc<GrantWord>) -> Self {
         LockQueue {
             reqs: Vec::with_capacity(4),
             granted_counts: [0; NUM_MODES],
             waiters: 0,
             zombie: false,
             word,
-            scope_id,
         }
     }
 
@@ -317,7 +310,7 @@ impl LockQueue {
         // Invalidate them all; if any reclaim wins the race, give up.
         for b in &inherited_blockers {
             if self.invalidate_inherited(b) {
-                stats.on_sli_invalidated(self.scope_id);
+                stats.on_sli_invalidated();
             } else {
                 // Owner reclaimed concurrently: it is now a Granted blocker.
                 return false;
@@ -441,8 +434,7 @@ impl LockQueue {
     }
 }
 
-/// One lock's identity, hot tracker, grant word, cached policy
-/// resolution, and latched queue.
+/// One lock's identity, hot tracker, grant word, and latched queue.
 pub struct LockHead {
     id: LockId,
     hot: HotTracker,
@@ -457,52 +449,26 @@ pub struct LockHead {
     /// The packed grant state fast-path acquirers CAS against; also
     /// referenced by `queue` so latched mutations keep it in sync.
     word: Arc<GrantWord>,
-    /// The head's policy resolution, cached at creation (see
-    /// `crate::PolicyMap::resolve`): the acquire/commit paths never
-    /// consult the map again.
-    policy: HeadPolicy,
     queue: Latched<LockQueue>,
 }
 
 impl LockHead {
-    /// Fresh lock head for `id` in the default scope under the paper's
-    /// policy (tests and fixtures; the lock manager resolves real heads
-    /// through its `PolicyMap` via [`LockHead::new_scoped`]).
+    /// Fresh lock head for `id`.
     pub fn new(id: LockId) -> Arc<Self> {
-        LockHead::new_scoped(id, HeadPolicy::default_paper())
-    }
-
-    /// Fresh lock head for `id` with an explicit policy resolution.
-    pub fn new_scoped(id: LockId, policy: HeadPolicy) -> Arc<Self> {
         let word = Arc::new(GrantWord::new());
-        let scope_id = policy.scope_id();
         Arc::new(LockHead {
             id,
             hot: HotTracker::new(),
             waiters_mirror: AtomicU32::new(0),
             fast_hint: AtomicU32::new(0),
             word: Arc::clone(&word),
-            policy,
-            queue: Latched::new(Component::LockManager, LockQueue::new(word, scope_id)),
+            queue: Latched::new(Component::LockManager, LockQueue::new(word)),
         })
     }
 
     /// The lock this head represents.
     pub fn id(&self) -> LockId {
         self.id
-    }
-
-    /// The head's cached policy resolution (scope id, policy pointer,
-    /// adaptive promotion state).
-    #[inline]
-    pub fn policy(&self) -> &HeadPolicy {
-        &self.policy
-    }
-
-    /// The head's policy-scope id (stat attribution).
-    #[inline]
-    pub fn scope_id(&self) -> u16 {
-        self.policy.scope_id()
     }
 
     /// The head's grant word (latch-free fast path and diagnostics).
@@ -556,24 +522,22 @@ impl LockHead {
         QueueGuard { head: self, inner }
     }
 
-    /// Latch the queue on behalf of agent `me`'s acquire path, returning
-    /// the raw [`AcquireSample`] *without* recording a heat sample: the
-    /// lock manager feeds the sample through the active
-    /// [`crate::LockPolicy::on_acquire`] and records the policy's verdict.
-    ///
-    /// `cross_agent_shared` is set when another agent actively holds a
-    /// request on this lock. Raw latch collisions alone under-report heat
-    /// here — this engine's head critical sections are tens of nanoseconds
-    /// against multi-microsecond transactions, unlike Shore-MT where
+    /// Latch the queue on behalf of agent `me`'s acquire path, recording
+    /// one heat sample: hot when the latch collided *or* another agent
+    /// actively holds a request on this lock. Raw latch collisions alone
+    /// under-report heat here — this engine's head critical sections are
+    /// tens of nanoseconds against multi-microsecond transactions, unlike
+    /// Shore-MT where
     /// lock-manager latching dominates — while cross-agent sharing at
     /// acquire time is exactly the condition that makes a release +
     /// re-acquire pair recur, which is what criterion 2 exists to detect.
-    /// [`crate::PaperSli`] combines both signals.
+    /// Both policies record the same signal, so a baseline run still
+    /// measures what SLI could target (the Figure 8 census).
     ///
     /// Parked `Inherited` requests deliberately do not count as sharing:
     /// their owner is idle, and counting them would keep a lock hot (and
     /// therefore re-inherited) forever after real concurrency ends.
-    pub fn latch_observe(&self, me: u32) -> (QueueGuard<'_>, AcquireSample) {
+    pub fn latch_observe(&self, me: u32) -> QueueGuard<'_> {
         let inner = self.queue.lock();
         // Fast-path holders never appear in `reqs`, but they are active
         // cross-agent sharers all the same (the sampling acquirer cannot
@@ -589,11 +553,8 @@ impl LockHead {
                         RequestStatus::Granted | RequestStatus::Converting
                     )
             });
-        let sample = AcquireSample {
-            latch_contended: inner.was_contended(),
-            cross_agent_shared: shared,
-        };
-        (QueueGuard { head: self, inner }, sample)
+        self.hot.record(inner.was_contended() || shared);
+        QueueGuard { head: self, inner }
     }
 
     /// Latch the queue without recording a hot sample (used by maintenance

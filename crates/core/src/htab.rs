@@ -13,7 +13,6 @@ use sli_profiler::Component;
 
 use crate::head::LockHead;
 use crate::id::LockId;
-use crate::scope::PolicyMap;
 
 struct Bucket {
     heads: Vec<Arc<LockHead>>,
@@ -21,22 +20,15 @@ struct Bucket {
 
 /// Fixed-size, per-bucket-latched hash table mapping [`LockId`]s to
 /// [`LockHead`]s.
-///
-/// The table owns a reference to the lock manager's [`PolicyMap`]: each
-/// head's policy scope is resolved exactly once, when the head is
-/// constructed on a probe miss, and cached on the head. Head creation is
-/// already a slow path (heap allocation outside the bucket latch), so the
-/// map lookup adds nothing to the hot probe path.
 pub struct LockTable {
     buckets: Box<[Latched<Bucket>]>,
     mask: u64,
-    policies: Arc<PolicyMap>,
 }
 
 impl LockTable {
     /// Create a table with at least `buckets` buckets (rounded up to a power
-    /// of two), resolving head policies through `policies`.
-    pub fn new(buckets: usize, policies: Arc<PolicyMap>) -> Self {
+    /// of two).
+    pub fn new(buckets: usize) -> Self {
         let n = buckets.next_power_of_two().max(16);
         let buckets = (0..n)
             .map(|_| Latched::new(Component::LockManager, Bucket { heads: Vec::new() }))
@@ -45,7 +37,6 @@ impl LockTable {
         LockTable {
             buckets,
             mask: (n - 1) as u64,
-            policies,
         }
     }
 
@@ -74,7 +65,7 @@ impl LockTable {
                 return Arc::clone(h);
             }
         }
-        let head = LockHead::new_scoped(id, self.policies.resolve(id));
+        let head = LockHead::new(id);
         let mut b = bucket.lock();
         if let Some(h) = b.heads.iter().find(|h| h.id() == id) {
             return Arc::clone(h); // lost the race; drop our allocation
@@ -136,7 +127,7 @@ mod tests {
 
     #[test]
     fn get_or_create_is_idempotent() {
-        let t = LockTable::new(64, Arc::new(PolicyMap::default()));
+        let t = LockTable::new(64);
         let a = t.get_or_create(LockId::Table(TableId(1)));
         let b = t.get_or_create(LockId::Table(TableId(1)));
         assert!(Arc::ptr_eq(&a, &b));
@@ -145,7 +136,7 @@ mod tests {
 
     #[test]
     fn distinct_ids_get_distinct_heads() {
-        let t = LockTable::new(64, Arc::new(PolicyMap::default()));
+        let t = LockTable::new(64);
         let a = t.get_or_create(LockId::Page(TableId(1), 0));
         let b = t.get_or_create(LockId::Page(TableId(1), 1));
         assert!(!Arc::ptr_eq(&a, &b));
@@ -154,7 +145,7 @@ mod tests {
 
     #[test]
     fn get_does_not_create() {
-        let t = LockTable::new(64, Arc::new(PolicyMap::default()));
+        let t = LockTable::new(64);
         assert!(t.get(LockId::Database).is_none());
         t.get_or_create(LockId::Database);
         assert!(t.get(LockId::Database).is_some());
@@ -162,7 +153,7 @@ mod tests {
 
     #[test]
     fn empty_heads_are_removed_and_zombied() {
-        let t = LockTable::new(64, Arc::new(PolicyMap::default()));
+        let t = LockTable::new(64);
         let h = t.get_or_create(LockId::Table(TableId(9)));
         assert!(t.remove_if_empty(&h));
         assert_eq!(t.len(), 0);
@@ -174,7 +165,7 @@ mod tests {
 
     #[test]
     fn nonempty_heads_are_not_removed() {
-        let t = LockTable::new(64, Arc::new(PolicyMap::default()));
+        let t = LockTable::new(64);
         let stats = LockStats::new();
         let h = t.get_or_create(LockId::Table(TableId(2)));
         let req = Arc::new(LockRequest::new_granted(
@@ -192,7 +183,7 @@ mod tests {
 
     #[test]
     fn concurrent_probes_converge_on_one_head() {
-        let t = Arc::new(LockTable::new(16, Arc::new(PolicyMap::default())));
+        let t = Arc::new(LockTable::new(16));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let t = Arc::clone(&t);

@@ -33,16 +33,6 @@ impl LockLevel {
     pub fn is_page_or_higher(self) -> bool {
         self <= LockLevel::Page
     }
-
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockLevel::Database => "db",
-            LockLevel::Table => "table",
-            LockLevel::Page => "page",
-            LockLevel::Record => "record",
-        }
-    }
 }
 
 /// The identity of a lockable object.
@@ -67,17 +57,6 @@ impl LockId {
             LockId::Table(_) => LockLevel::Table,
             LockId::Page(..) => LockLevel::Page,
             LockId::Record(..) => LockLevel::Record,
-        }
-    }
-
-    /// The table this object belongs to (`None` for the database root).
-    /// Used by scoped policy resolution: a per-table policy override
-    /// governs the table's whole subtree.
-    #[inline]
-    pub fn table(self) -> Option<TableId> {
-        match self {
-            LockId::Database => None,
-            LockId::Table(t) | LockId::Page(t, _) | LockId::Record(t, _, _) => Some(t),
         }
     }
 

@@ -45,7 +45,6 @@ mod manager;
 mod mode;
 mod policy;
 mod request;
-mod scope;
 mod sli;
 mod stats;
 mod txn;
@@ -60,13 +59,9 @@ pub use htab::LockTable;
 pub use id::{LockId, LockLevel, TableId};
 pub use manager::LockManager;
 pub use mode::{LockMode, ALL_MODES, NUM_MODES};
-pub use policy::{
-    AcquireSample, AdaptivePolicy, AggressiveSli, Baseline, EagerRelease, HeldLock, LockPolicy,
-    PaperSli, PolicyKind,
-};
+pub use policy::PolicyKind;
 pub use request::{LockRequest, RequestStatus};
-pub use scope::{HeadPolicy, PolicyMap, PolicyScope, MAX_POLICY_SCOPES};
 pub use sli::{is_inheritance_candidate, AgentSliState, DEFAULT_REQUEST_POOL_CAP};
-pub use stats::{LockClass, LockStats, LockStatsSnapshot, ScopeStatsSnapshot};
+pub use stats::{LockClass, LockStats, LockStatsSnapshot};
 pub use txn::TxnLockState;
 pub use word::{FastAcquire, GrantWord, GrantWordSnapshot, FAST_MODES};

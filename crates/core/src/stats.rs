@@ -7,8 +7,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::scope::MAX_POLICY_SCOPES;
-
 /// Release-time classification of one lock for the Figure 8 census.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockClass {
@@ -20,22 +18,6 @@ pub enum LockClass {
     ColdRow,
     /// Cold page-or-higher lock.
     ColdHigh,
-}
-
-/// Per-scope attribution of the policy-relevant counters: which
-/// [`crate::PolicyMap`] scope inherited, reclaimed, invalidated, discarded,
-/// early-released, or fast-path-granted how much. Scope ids index the
-/// map's scope list (`0` = default). Line-aligned, so the separately boxed
-/// slices of two shards never share a cache line.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct ScopeCounters {
-    inherited: AtomicU64,
-    reclaimed: AtomicU64,
-    invalidated: AtomicU64,
-    discarded: AtomicU64,
-    early_released: AtomicU64,
-    fastpath_granted: AtomicU64,
 }
 
 /// Monotonic counters maintained by the lock manager, sharded so the
@@ -55,21 +37,14 @@ pub struct LockStats {
     agents: Box<[AgentStats]>,
     /// Bumps made with no agent in hand.
     shared: AgentStats,
-    /// Scopes actually configured; bounds the snapshot's `scopes` vector.
-    n_scopes: usize,
 }
 
 /// One shard of a [`LockStats`]: every counter, written only by the agent
 /// that owns the shard's slot. Line-aligned so no two agents write the
-/// same cache line; 320 B plus 64 B per policy scope, so the default 256
-/// agents cost 96 KiB.
+/// same cache line; 256 B, so the default 256 agents cost 64 KiB.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct AgentStats {
-    /// Per-scope attribution, one entry per configured scope (at least
-    /// one, so standalone heads built outside a manager can still record
-    /// into scope 0).
-    scope_counters: Box<[ScopeCounters]>,
     // Traffic.
     lock_requests: AtomicU64,
     cache_hits: AtomicU64,
@@ -90,9 +65,6 @@ pub(crate) struct AgentStats {
     sli_invalidated: AtomicU64,
     sli_discarded: AtomicU64,
     sli_hot_not_inherited: AtomicU64,
-    /// Record-level S locks dropped at commit-LSN by an early-release
-    /// policy, before the log flush.
-    early_released: AtomicU64,
     // Request free-pool effectiveness (the allocation-free acquire path).
     /// Fresh acquires served by recycling a pooled request (no heap
     /// allocation).
@@ -151,27 +123,7 @@ macro_rules! bump {
     };
 }
 
-macro_rules! bump_scoped {
-    ($name:ident, $field:ident, $scope_field:ident) => {
-        /// Increment the counter, attributing it to policy scope `scope`.
-        #[inline]
-        pub(crate) fn $name(&self, scope: u16) {
-            bump(&self.$field);
-            if let Some(s) = self.scope_counters.get(scope as usize) {
-                bump(&s.$scope_field);
-            }
-        }
-    };
-}
-
 impl AgentStats {
-    fn with_scopes(n_scopes: usize) -> Self {
-        AgentStats {
-            scope_counters: (0..n_scopes).map(|_| ScopeCounters::default()).collect(),
-            ..AgentStats::default()
-        }
-    }
-
     bump!(on_lock_request, lock_requests);
     bump!(on_cache_hit, cache_hits);
     bump!(on_coverage_hit, coverage_hits);
@@ -179,15 +131,14 @@ impl AgentStats {
     bump!(on_block, blocks);
     bump!(on_deadlock, deadlocks);
     bump!(on_timeout, timeouts);
-    bump_scoped!(on_sli_inherited, sli_inherited, inherited);
-    bump_scoped!(on_sli_reclaimed, sli_reclaimed, reclaimed);
-    bump_scoped!(on_sli_invalidated, sli_invalidated, invalidated);
-    bump_scoped!(on_sli_discarded, sli_discarded, discarded);
+    bump!(on_sli_inherited, sli_inherited);
+    bump!(on_sli_reclaimed, sli_reclaimed);
+    bump!(on_sli_invalidated, sli_invalidated);
+    bump!(on_sli_discarded, sli_discarded);
     bump!(on_sli_hot_not_inherited, sli_hot_not_inherited);
-    bump_scoped!(on_early_released, early_released, early_released);
     bump!(on_request_pooled, requests_pooled);
     bump!(on_request_allocated, requests_allocated);
-    bump_scoped!(on_fastpath_granted, fastpath_granted, fastpath_granted);
+    bump!(on_fastpath_granted, fastpath_granted);
     bump!(on_fastpath_fallback, fastpath_fallbacks);
     bump!(on_fastpath_retry_exhausted, fastpath_retry_exhausted);
     bump!(on_fastpath_sampled, fastpath_sampled);
@@ -228,14 +179,6 @@ impl AgentStats {
             // is too).
             counter.load(Ordering::Relaxed)
         }
-        for (sum, c) in s.scopes.iter_mut().zip(self.scope_counters.iter()) {
-            sum.inherited += load(&c.inherited);
-            sum.reclaimed += load(&c.reclaimed);
-            sum.invalidated += load(&c.invalidated);
-            sum.discarded += load(&c.discarded);
-            sum.early_released += load(&c.early_released);
-            sum.fastpath_granted += load(&c.fastpath_granted);
-        }
         s.lock_requests += load(&self.lock_requests);
         s.cache_hits += load(&self.cache_hits);
         s.coverage_hits += load(&self.coverage_hits);
@@ -253,7 +196,6 @@ impl AgentStats {
         s.sli_invalidated += load(&self.sli_invalidated);
         s.sli_discarded += load(&self.sli_discarded);
         s.sli_hot_not_inherited += load(&self.sli_hot_not_inherited);
-        s.early_released += load(&self.early_released);
         s.requests_pooled += load(&self.requests_pooled);
         s.requests_allocated += load(&self.requests_allocated);
         s.fastpath_granted += load(&self.fastpath_granted);
@@ -272,26 +214,22 @@ impl AgentStats {
 
 impl Default for LockStats {
     fn default() -> Self {
-        Self::sharded(1, 1)
+        Self::sharded(1)
     }
 }
 
 impl LockStats {
-    /// Fresh zeroed counters for one agent and the default policy scope.
+    /// Fresh zeroed counters for one agent.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fresh zeroed counters tracking `n_scopes` policy scopes, with a
-    /// private shard for each of `n_agents` agent slots.
-    pub fn sharded(n_scopes: usize, n_agents: usize) -> Self {
-        let n_scopes = n_scopes.clamp(1, MAX_POLICY_SCOPES);
+    /// Fresh zeroed counters with a private shard for each of `n_agents`
+    /// agent slots.
+    pub fn sharded(n_agents: usize) -> Self {
         LockStats {
-            agents: (0..n_agents)
-                .map(|_| AgentStats::with_scopes(n_scopes))
-                .collect(),
-            shared: AgentStats::with_scopes(n_scopes),
-            n_scopes,
+            agents: (0..n_agents).map(|_| AgentStats::default()).collect(),
+            shared: AgentStats::default(),
         }
     }
 
@@ -303,25 +241,17 @@ impl LockStats {
     }
 
     /// Count an inherited request invalidated with no agent in hand (a
-    /// grant pass runs on whichever thread released or enqueued),
-    /// attributing it to policy scope `scope`.
+    /// grant pass runs on whichever thread released or enqueued).
     #[inline]
-    pub fn on_sli_invalidated(&self, scope: u16) {
+    pub fn on_sli_invalidated(&self) {
         // ordering: monotonic statistics counter with many writers; readers
         // tolerate staleness and no other memory is published through it.
         self.shared.sli_invalidated.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = self.shared.scope_counters.get(scope as usize) {
-            // ordering: per-scope shadow of the same counter.
-            s.invalidated.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Consistent-enough snapshot of all counters, summed over the shards.
     pub fn snapshot(&self) -> LockStatsSnapshot {
-        let mut s = LockStatsSnapshot {
-            scopes: vec![ScopeStatsSnapshot::default(); self.n_scopes],
-            ..LockStatsSnapshot::default()
-        };
+        let mut s = LockStatsSnapshot::default();
         for shard in self.agents.iter().chain([&self.shared]) {
             shard.add_to(&mut s);
         }
@@ -329,41 +259,10 @@ impl LockStats {
     }
 }
 
-/// Per-scope slice of a [`LockStatsSnapshot`]: the policy-relevant
-/// counters attributed to one [`crate::PolicyMap`] scope. Scope names live
-/// on the map ([`crate::PolicyMap::scopes`]), not here.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct ScopeStatsSnapshot {
-    pub inherited: u64,
-    pub reclaimed: u64,
-    pub invalidated: u64,
-    pub discarded: u64,
-    pub early_released: u64,
-    pub fastpath_granted: u64,
-}
-
-impl ScopeStatsSnapshot {
-    /// Counter-wise difference `self - earlier`.
-    pub fn delta(&self, earlier: &ScopeStatsSnapshot) -> ScopeStatsSnapshot {
-        ScopeStatsSnapshot {
-            inherited: self.inherited - earlier.inherited,
-            reclaimed: self.reclaimed - earlier.reclaimed,
-            invalidated: self.invalidated - earlier.invalidated,
-            discarded: self.discarded - earlier.discarded,
-            early_released: self.early_released - earlier.early_released,
-            fastpath_granted: self.fastpath_granted - earlier.fastpath_granted,
-        }
-    }
-}
-
 /// Point-in-time copy of [`LockStats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct LockStatsSnapshot {
-    /// Per-scope attribution, indexed by [`crate::PolicyMap`] scope id
-    /// (`[0]` = default scope).
-    pub scopes: Vec<ScopeStatsSnapshot>,
     pub lock_requests: u64,
     pub cache_hits: u64,
     pub coverage_hits: u64,
@@ -381,7 +280,6 @@ pub struct LockStatsSnapshot {
     pub sli_invalidated: u64,
     pub sli_discarded: u64,
     pub sli_hot_not_inherited: u64,
-    pub early_released: u64,
     pub requests_pooled: u64,
     pub requests_allocated: u64,
     pub fastpath_granted: u64,
@@ -401,15 +299,6 @@ impl LockStatsSnapshot {
     /// Counter-wise difference `self - earlier` (for measurement windows).
     pub fn delta(&self, earlier: &LockStatsSnapshot) -> LockStatsSnapshot {
         LockStatsSnapshot {
-            scopes: self
-                .scopes
-                .iter()
-                .enumerate()
-                .map(|(i, s)| match earlier.scopes.get(i) {
-                    Some(e) => s.delta(e),
-                    None => *s,
-                })
-                .collect(),
             lock_requests: self.lock_requests - earlier.lock_requests,
             cache_hits: self.cache_hits - earlier.cache_hits,
             coverage_hits: self.coverage_hits - earlier.coverage_hits,
@@ -428,7 +317,6 @@ impl LockStatsSnapshot {
             sli_invalidated: self.sli_invalidated - earlier.sli_invalidated,
             sli_discarded: self.sli_discarded - earlier.sli_discarded,
             sli_hot_not_inherited: self.sli_hot_not_inherited - earlier.sli_hot_not_inherited,
-            early_released: self.early_released - earlier.early_released,
             requests_pooled: self.requests_pooled - earlier.requests_pooled,
             requests_allocated: self.requests_allocated - earlier.requests_allocated,
             fastpath_granted: self.fastpath_granted - earlier.fastpath_granted,
@@ -536,43 +424,21 @@ mod tests {
     }
 
     #[test]
-    fn avg_locks_per_txn_guards_div_by_zero() {
-        let snap = LockStatsSnapshot::default();
-        assert_eq!(snap.avg_locks_per_txn(), 0.0);
+    fn agentless_invalidation_counts_in_the_global_total() {
+        let s = LockStats::new();
+        let before = s.snapshot();
+        // The agent-less bump lands in the same totals as the agent's.
+        s.agent(0).on_sli_invalidated();
+        s.on_sli_invalidated();
+        let after = s.snapshot();
+        assert_eq!(after.sli_invalidated, 2);
+        assert_eq!(after.delta(&before).sli_invalidated, 2);
     }
 
     #[test]
-    fn scoped_counters_attribute_to_their_scope_and_the_global_total() {
-        let s = LockStats::sharded(3, 2);
-        let (a, b) = (s.agent(0), s.agent(1));
-        a.on_sli_inherited(0);
-        a.on_sli_inherited(1);
-        b.on_sli_inherited(1);
-        b.on_sli_reclaimed(2);
-        a.on_fastpath_granted(1);
-        // Out-of-range scope ids still count globally (defensive).
-        a.on_sli_inherited(9999);
-        // The agent-less bump lands in the same totals.
-        s.on_sli_invalidated(2);
-        b.on_sli_invalidated(2);
-        let snap = s.snapshot();
-        assert_eq!(snap.scopes.len(), 3);
-        assert_eq!(snap.sli_inherited, 4);
-        assert_eq!(snap.scopes[0].inherited, 1);
-        assert_eq!(snap.scopes[1].inherited, 2);
-        assert_eq!(snap.scopes[2].inherited, 0);
-        assert_eq!(snap.scopes[2].reclaimed, 1);
-        assert_eq!(snap.scopes[1].fastpath_granted, 1);
-        assert_eq!(snap.sli_invalidated, 2);
-        assert_eq!(snap.scopes[2].invalidated, 2);
-
-        let before = snap.clone();
-        b.on_sli_inherited(1);
-        let after = s.snapshot();
-        let d = after.delta(&before);
-        assert_eq!(d.sli_inherited, 1);
-        assert_eq!(d.scopes[1].inherited, 1);
-        assert_eq!(d.scopes[0].inherited, 0);
+    fn avg_locks_per_txn_guards_div_by_zero() {
+        let snap = LockStatsSnapshot::default();
+        assert_eq!(snap.avg_locks_per_txn(), 0.0);
     }
 
     #[test]
@@ -593,10 +459,9 @@ mod tests {
     fn default_shape_fits_the_documented_budget() {
         use std::mem::{align_of, size_of};
         assert_eq!(align_of::<AgentStats>(), 64);
-        assert_eq!(align_of::<ScopeCounters>(), 64);
-        let shard = size_of::<AgentStats>() + size_of::<ScopeCounters>();
-        assert_eq!(shard, 384);
+        let shard = size_of::<AgentStats>();
+        assert_eq!(shard, 256);
         // 256 agents and the shared shard.
-        assert!(257 * shard < 128 * 1024);
+        assert!(257 * shard < 80 * 1024);
     }
 }

@@ -224,14 +224,6 @@ impl GrantWord {
         (count(w, 0) + count(w, 1) + count(w, 2)) as u32
     }
 
-    /// Number of `Inherited` requests currently parked on the head's
-    /// queue (the `n_INH` field). Lock-free; used by adaptive policies as
-    /// a cross-agent-sharing hint on the reclaim path.
-    #[inline]
-    pub fn inherited_count(&self) -> u32 {
-        ((self.load() >> INH_SHIFT) & INH_MASK) as u32
-    }
-
     /// Whether the head has been retired (fast probers must re-probe).
     #[inline]
     pub fn is_zombie(&self) -> bool {

@@ -26,7 +26,7 @@ use crate::session::TxnError;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Hierarchical two-phase locking through the lock manager (the
-    /// paper's engine; SLI and all lock policies apply). The default.
+    /// paper's engine; both lock policies apply). The default.
     #[default]
     Locked2pl,
     /// Multiversion storage with optimistic validate-at-commit

@@ -5,10 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
-use sli_core::{
-    AdaptivePolicy, LockLevel, LockManager, LockManagerConfig, LockPolicy, LockStatsSnapshot,
-    ScopeStatsSnapshot, TableId,
-};
+use sli_core::{LockManager, LockManagerConfig, LockStatsSnapshot, PolicyKind, TableId};
 use sli_mvcc::{MvccConfig, MvccStats, MvccStore, WriteKind, WriteOp};
 use sli_storage::{
     BufferPool, BufferPoolConfig, BufferPoolStats, HashIndex, HeapTable, OrderedIndex, Rid,
@@ -48,26 +45,18 @@ impl std::error::Error for EngineError {}
 
 /// Configuration for a [`Database`], built fluently.
 ///
-/// The concurrency-control strategy is a scoped policy map: a default
-/// [`LockPolicy`] plus optional per-table and per-level overrides,
-/// resolved once per lock head at creation (see `sli_core::PolicyMap`).
+/// On the locked backend the lock policy is [`PolicyKind::PaperSli`] (the
+/// default) or [`PolicyKind::Baseline`]:
 ///
 /// ```
-/// use sli_engine::{DatabaseConfig, LockLevel, PolicyKind};
+/// use sli_engine::{DatabaseConfig, PolicyKind};
 ///
-/// let cfg = DatabaseConfig::default()
-///     .default_policy(PolicyKind::Baseline)
-///     .table_policy("WAREHOUSE", PolicyKind::AggressiveSli)
-///     .level_policy(LockLevel::Record, PolicyKind::Baseline)
-///     .in_memory();
+/// let cfg = DatabaseConfig::with_policy(PolicyKind::Baseline).in_memory();
+/// assert!(!cfg.lock.policy.inherits());
 /// ```
-///
-/// (The pre-map `baseline()`/`with_sli()` shims were removed — use
-/// `with_policy(PolicyKind::Baseline)` / `with_policy(PolicyKind::PaperSli)`
-/// or the builder above; see the README migration table.)
 #[derive(Clone, Debug, Default)]
 pub struct DatabaseConfig {
-    /// Lock manager + SLI settings (including the policy map).
+    /// Lock manager + SLI settings (including the lock policy).
     pub lock: LockManagerConfig,
     /// WAL settings.
     pub log: LogConfig,
@@ -89,51 +78,12 @@ pub struct DatabaseConfig {
 }
 
 impl DatabaseConfig {
-    /// Engine with the given default-scope inheritance policy (a
-    /// [`sli_core::PolicyKind`] or a custom `Arc<dyn LockPolicy>`),
-    /// everything else default.
-    pub fn with_policy(policy: impl Into<Arc<dyn LockPolicy>>) -> Self {
+    /// Engine with the given lock policy, everything else default.
+    pub fn with_policy(policy: PolicyKind) -> Self {
         DatabaseConfig {
             lock: LockManagerConfig::with_policy(policy),
             ..Default::default()
         }
-    }
-
-    /// Builder: replace the default scope's policy.
-    pub fn default_policy(mut self, policy: impl Into<Arc<dyn LockPolicy>>) -> Self {
-        self.lock.policies.set_default(policy);
-        self
-    }
-
-    /// Builder: add a per-table policy override. `table` is the name the
-    /// table will be created under; the override binds to the concrete
-    /// [`TableId`] when [`Database::create_table`] runs and governs the
-    /// table's whole subtree (table, page, and record locks).
-    pub fn table_policy(mut self, table: &str, policy: impl Into<Arc<dyn LockPolicy>>) -> Self {
-        self.lock.policies.add_table_override(table, policy);
-        self
-    }
-
-    /// Builder: add a per-level policy override (applies wherever no table
-    /// override claims the head). Criterion-5 caveat: an *inheriting*
-    /// override below `Table` level only fires where its table ancestry
-    /// also inherits (see `sli_core::PolicyMap::add_level_override`).
-    pub fn level_policy(
-        mut self,
-        level: LockLevel,
-        policy: impl Into<Arc<dyn LockPolicy>>,
-    ) -> Self {
-        self.lock.policies.add_level_override(level, policy);
-        self
-    }
-
-    /// Builder: make the default scope adaptive — per-head switching
-    /// between baseline and SLI when the observed collision/sharing rate
-    /// crosses the `[demote, promote]` hysteresis band (see
-    /// [`AdaptivePolicy`]).
-    pub fn adaptive(self, promote: f64, demote: f64) -> Self {
-        let policy: Arc<dyn LockPolicy> = Arc::new(AdaptivePolicy::with_band(promote, demote));
-        self.default_policy(policy)
     }
 
     /// In-memory setup: no I/O penalties anywhere (the paper's NDBB
@@ -237,9 +187,7 @@ impl Database {
         })
     }
 
-    /// Create a table; fails if the name is taken. Binds any per-table
-    /// policy override declared for this name — before any lock head for
-    /// the table can exist, so every head resolves into the right scope.
+    /// Create a table; fails if the name is taken.
     pub fn create_table(&self, name: &str) -> Result<TableHandle, EngineError> {
         self.create_table_inner(name, true)
     }
@@ -264,7 +212,6 @@ impl Database {
             ordered: OrderedIndex::new(),
         }));
         catalog.insert(name.to_string(), handle);
-        self.lockmgr.bind_table_policy(name, handle.table_id());
         if log && self.log.retains() {
             self.log.append(LogRecord::create(handle.0, name));
         }
@@ -391,7 +338,7 @@ impl Database {
         self.mvcc.as_ref().map(|s| s.stats())
     }
 
-    /// Display name of the active inheritance policy.
+    /// Display name of the lock policy.
     pub fn policy_name(&self) -> &'static str {
         self.lockmgr.policy().name()
     }
@@ -399,20 +346,6 @@ impl Database {
     /// Lock-manager counter snapshot.
     pub fn lock_stats(&self) -> LockStatsSnapshot {
         self.lockmgr.stats().snapshot()
-    }
-
-    /// Per-scope counter snapshot paired with the scope names from the
-    /// policy map (`default`, `table:<name>`, `level:<level>`), in scope-id
-    /// order.
-    pub fn scope_stats(&self) -> Vec<(String, ScopeStatsSnapshot)> {
-        let snap = self.lockmgr.stats().snapshot();
-        self.lockmgr
-            .policies()
-            .scopes()
-            .iter()
-            .zip(snap.scopes)
-            .map(|(scope, counters)| (scope.label(), counters))
-            .collect()
     }
 
     /// WAL counter snapshot.
@@ -494,109 +427,5 @@ mod tests {
         drop(_s1);
         let _s3 = db.try_session().expect("recycled slot fits");
         assert!(db.try_session().is_err());
-    }
-
-    #[test]
-    fn builder_binds_table_overrides_at_create_table() {
-        use sli_core::{LockId, PolicyKind};
-        let db = Database::open(
-            DatabaseConfig::default()
-                .default_policy(PolicyKind::Baseline)
-                .table_policy("hot", PolicyKind::AggressiveSli)
-                .in_memory(),
-        );
-        let cold = db.create_table("cold").unwrap();
-        let hot = db.create_table("hot").unwrap();
-        assert_eq!(db.policy_name(), "baseline");
-
-        // A transaction on each table: the hot table's heads must resolve
-        // into the override scope, the cold table's into the default.
-        let s = db.session();
-        db.bulk_insert(hot, 1, None, b"h");
-        db.bulk_insert(cold, 1, None, b"c");
-        s.run(|txn| {
-            txn.read_by_key(hot, 1)?;
-            txn.read_by_key(cold, 1)?;
-            Ok(())
-        })
-        .unwrap();
-        let mgr = db.lock_manager();
-        // Heads are GCed at commit; probe the map's resolution directly.
-        let hot_scope = mgr.policies().resolve(LockId::Table(hot.table_id()));
-        let cold_scope = mgr.policies().resolve(LockId::Table(cold.table_id()));
-        assert_eq!(hot_scope.policy().name(), "aggressive");
-        assert_eq!(cold_scope.policy().name(), "baseline");
-        assert_ne!(hot_scope.scope_id(), cold_scope.scope_id());
-        // Scope names surface through scope_stats.
-        let names: Vec<String> = db.scope_stats().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(
-            names,
-            vec![
-                "default(baseline)",
-                "table:hot(aggressive)",
-                "root(aggressive)"
-            ],
-            "scope names pair with snapshot rows"
-        );
-    }
-
-    #[test]
-    fn adaptive_builder_installs_the_adaptive_default() {
-        let db = Database::open(DatabaseConfig::default().adaptive(0.5, 0.25).in_memory());
-        assert_eq!(db.policy_name(), "adaptive");
-        assert_eq!(db.lock_manager().policy().adaptive_counters(), Some((0, 0)));
-    }
-
-    #[test]
-    fn per_scope_counters_attribute_inheritance_to_the_override() {
-        use sli_core::{FastPathConfig, PolicyKind};
-        // Latched path only, so inheritance is deterministic.
-        let mut cfg = DatabaseConfig::default()
-            .default_policy(PolicyKind::Baseline)
-            .table_policy("hot", PolicyKind::AggressiveSli)
-            .in_memory();
-        cfg.lock.fastpath = FastPathConfig::disabled();
-        let db = Database::open(cfg);
-        let hot = db.create_table("hot").unwrap();
-        let cold = db.create_table("cold").unwrap();
-        db.bulk_insert(hot, 1, None, b"h");
-        db.bulk_insert(cold, 1, None, b"c");
-        let s = db.session();
-        for _ in 0..3 {
-            s.run(|txn| {
-                txn.read_by_key(hot, 1)?;
-                txn.read_by_key(cold, 1)?;
-                Ok(())
-            })
-            .unwrap();
-        }
-        let scopes = db.scope_stats();
-        let by_name = |needle: &str| {
-            scopes
-                .iter()
-                .find(|(n, _)| n.starts_with(needle))
-                .map(|(_, c)| *c)
-                .unwrap()
-        };
-        let hot_counters = by_name("table:hot");
-        let default_counters = by_name("default");
-        assert!(
-            hot_counters.inherited > 0,
-            "aggressive override must inherit: {scopes:?}"
-        );
-        assert!(
-            hot_counters.reclaimed > 0,
-            "later txns reclaim the override's hand-offs: {scopes:?}"
-        );
-        assert_eq!(
-            default_counters.inherited, 0,
-            "baseline default must not inherit: {scopes:?}"
-        );
-        let total = db.lock_stats();
-        assert_eq!(
-            total.sli_inherited,
-            scopes.iter().map(|(_, c)| c.inherited).sum::<u64>(),
-            "scope attribution must add up to the global counter"
-        );
     }
 }

@@ -41,8 +41,8 @@ pub use session::{Session, Txn, TxnError};
 // depending on every crate directly.
 pub use bytes::Bytes;
 pub use sli_core::{
-    AdaptivePolicy, LockId, LockLevel, LockManagerConfig, LockMode, LockPolicy, LockStatsSnapshot,
-    PolicyKind, PolicyMap, ScopeStatsSnapshot, SliConfig, TableId,
+    LockId, LockLevel, LockManagerConfig, LockMode, LockStatsSnapshot, PolicyKind, SliConfig,
+    TableId,
 };
 pub use sli_mvcc::{MvccConfig, MvccStats};
 pub use sli_storage::{BufferPoolConfig, BufferPoolStats, Rid};

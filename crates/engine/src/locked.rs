@@ -108,11 +108,6 @@ impl Backend for Locked {
         }
         let seq = self.ts.txn_seq();
         let lsn = db.log.append(LogRecord::commit(seq));
-        // Early-release policies drop record-level S locks here — after
-        // the commit LSN is assigned, before the commit wait (the session
-        // parks on the committer queue until a group-commit flush covers
-        // `lsn`). A no-op for every other policy.
-        db.lockmgr.pre_commit_release(&mut self.ts);
         let forced = db.log.commit(seq, lsn);
         // On a flush failure the in-memory effects are kept and the locks
         // released as committed: the Commit record is already in the log

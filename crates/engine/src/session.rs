@@ -580,30 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_release_policy_threads_through_sessions() {
-        use sli_core::PolicyKind;
-        let db = Database::open(DatabaseConfig::with_policy(PolicyKind::EagerRelease).in_memory());
-        assert_eq!(db.policy_name(), "eager-release");
-        let t = db.create_table("t").unwrap();
-        db.bulk_insert(t, 1, None, b"r");
-        db.bulk_insert(t, 2, None, &0u64.to_le_bytes());
-        let s = db.session();
-        // A read-write transaction: the read's S record lock is dropped at
-        // commit-LSN, the write's X lock is held through the flush.
-        s.run(|txn| {
-            txn.read_by_key(t, 1)?;
-            txn.update_by_key(t, 2, |_| 1u64.to_le_bytes().to_vec())?;
-            Ok(())
-        })
-        .unwrap();
-        let stats = db.lock_stats();
-        assert_eq!(stats.early_released, 1);
-        assert_eq!(stats.sli_inherited, 0);
-        assert_eq!(s.inherited_locks(), 0);
-        assert_eq!(&db.peek(t, 2).unwrap()[..], &1u64.to_le_bytes());
-    }
-
-    #[test]
     fn sessions_inherit_locks_across_transactions() {
         // Inheritance needs queued acquisitions: grant-word fast path off.
         let mut cfg = DatabaseConfig::with_policy(sli_core::PolicyKind::PaperSli).in_memory();

@@ -674,394 +674,6 @@ pub fn roving_hotspot(scale: &ExperimentScale) -> Vec<AblationRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Policy matrix (the LockPolicy ablation harness)
-// ---------------------------------------------------------------------------
-
-/// One cell of the policy-matrix experiment: one policy at one agent count.
-#[derive(Clone, Debug)]
-pub struct PolicyMatrixRow {
-    /// Policy display name.
-    pub policy: &'static str,
-    /// Agent threads offered.
-    pub agents: usize,
-    /// Attempts per second.
-    pub throughput: f64,
-    /// Committed transactions in the window (denominator for per-commit
-    /// rates).
-    pub commits: u64,
-    /// Locks parked on agents during the window (`sli_inherited` delta).
-    pub inherited: u64,
-    /// Inherited locks reclaimed by the CAS fast path (`sli_reclaimed`
-    /// delta).
-    pub reclaimed: u64,
-    /// Inherited locks invalidated by conflicting transactions.
-    pub invalidated: u64,
-    /// Record-level S locks dropped at commit-LSN (eager-release only).
-    pub early_released: u64,
-    /// % cpu time contending in the lock manager.
-    pub lockmgr_contention_pct: f64,
-}
-
-/// The `LockPolicy` ablation: sweep every shipped policy across the agent
-/// ladder on the TM1 NDBB mix. `Baseline` must report zero inheritance;
-/// `AggressiveSli` shows the cost of over-inheriting; `EagerRelease`
-/// trades inheritance for shorter read-lock hold times; `Adaptive` should
-/// track `Baseline` at low agent counts and converge toward `PaperSli`
-/// once heads heat past its promotion band.
-pub fn policy_matrix(scale: &ExperimentScale) -> Vec<PolicyMatrixRow> {
-    use sli_engine::PolicyKind;
-    println!("\n== Policy matrix: inheritance policies x agents (NDBB mix) ==");
-    println!(
-        "{:>14} {:>7} {:>12} {:>10} {:>10} {:>10} {:>9} {:>9}",
-        "policy", "agents", "attempts/s", "inherited", "reclaimed", "invalid", "early", "lm-cont%"
-    );
-    let mut rows = Vec::new();
-    for kind in PolicyKind::ALL {
-        let db = Database::open(crate::setup::db_config_for(kind));
-        let tm1 = Tm1::load(&db, scale.tm1_subscribers, 42);
-        let mix = tm1.ndbb_mix();
-        for agents in scale.short_ladder() {
-            let r = run_workload(&db, &mix, &run_cfg(scale, agents));
-            r.bench_artifact(
-                "policy-matrix",
-                &format!("ndbb-{}-a{agents}", kind.name()),
-                vec![("policy".into(), kind.name().into())],
-            )
-            .emit();
-            let d = &r.lock_delta;
-            let row = PolicyMatrixRow {
-                policy: kind.name(),
-                agents,
-                throughput: r.attempts_per_sec,
-                commits: d.commits,
-                inherited: d.sli_inherited,
-                reclaimed: d.sli_reclaimed,
-                invalidated: d.sli_invalidated,
-                early_released: d.early_released,
-                lockmgr_contention_pct: pct(r.report.contention_fraction(Component::LockManager)),
-            };
-            println!(
-                "{:>14} {:>7} {:>12.0} {:>10} {:>10} {:>10} {:>9} {:>9.1}",
-                row.policy,
-                row.agents,
-                row.throughput,
-                row.inherited,
-                row.reclaimed,
-                row.invalidated,
-                row.early_released,
-                row.lockmgr_contention_pct
-            );
-            rows.push(row);
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// Policy map (scoped per-table policies + the adaptive policy)
-// ---------------------------------------------------------------------------
-
-/// Per-scope counters of one policy-map run window.
-#[derive(Clone, Debug)]
-pub struct ScopeCell {
-    /// Scope label (`default(baseline)`, `table:tpcc_warehouse(aggressive)`).
-    pub name: String,
-    /// Locks parked on agents from this scope during the window.
-    pub inherited: u64,
-    /// Inherited locks reclaimed by the CAS fast path.
-    pub reclaimed: u64,
-    /// Grant-word fast-path grants on this scope's heads.
-    pub fastpath_granted: u64,
-}
-
-/// One cell of the policy-map experiment: one configuration at one agent
-/// count, with per-scope counter attribution.
-#[derive(Clone, Debug)]
-pub struct PolicyMapRow {
-    /// Configuration label.
-    pub config: &'static str,
-    /// Agent threads offered.
-    pub agents: usize,
-    /// Attempts per second.
-    pub throughput: f64,
-    /// Committed transactions in the window.
-    pub commits: u64,
-    /// Per-scope counter deltas for the window, in scope-id order.
-    pub scopes: Vec<ScopeCell>,
-    /// Adaptive promotions during the window (adaptive config only).
-    pub promotions: u64,
-    /// Adaptive demotions during the window (adaptive config only).
-    pub demotions: u64,
-}
-
-fn scope_cells(db: &Arc<Database>, delta: &sli_engine::LockStatsSnapshot) -> Vec<ScopeCell> {
-    db.lock_manager()
-        .policies()
-        .scopes()
-        .iter()
-        .zip(&delta.scopes)
-        .map(|(scope, c)| ScopeCell {
-            name: scope.label(),
-            inherited: c.inherited,
-            reclaimed: c.reclaimed,
-            fastpath_granted: c.fastpath_granted,
-        })
-        .collect()
-}
-
-fn print_policy_map_row(row: &PolicyMapRow) {
-    println!(
-        "{:>17} {:>7} {:>12.0} {:>6}/{:<6}",
-        row.config, row.agents, row.throughput, row.promotions, row.demotions
-    );
-    for s in &row.scopes {
-        println!(
-            "{:>24} {:>33} inh {:>8} rec {:>8} fast {:>10}",
-            "", s.name, s.inherited, s.reclaimed, s.fastpath_granted
-        );
-    }
-}
-
-/// The scoped-policy experiment, in two parts.
-///
-/// **Part 1 (per-table overrides, TPC-C Payment):** three configurations —
-/// global `Baseline`, global `AggressiveSli`, and a `PolicyMap` that keeps
-/// the default at `Baseline` but puts only the hot `tpcc_warehouse` /
-/// `tpcc_district` tables under `AggressiveSli`. The per-scope counters
-/// must show the override took effect: the hot-table scopes inherit and
-/// reclaim, the default scope inherits nothing and keeps riding the
-/// grant-word fast path.
-///
-/// **Part 2 (adaptive, agent ladder):** the `AdaptivePolicy` on TPC-C
-/// Payment, swept up the agent ladder and then dropped back to a single
-/// agent. Rising contention must *promote* hot heads (promotions > 0 at
-/// the top of the ladder); the single-agent tail leaves no cross-agent
-/// sharing to exploit, so its reclaim-loop cold samples must *demote* them
-/// again (demotions > 0) — the hysteresis band working in both directions.
-pub fn policy_map(scale: &ExperimentScale) -> Vec<PolicyMapRow> {
-    use sli_engine::PolicyKind;
-    use sli_workloads::tpcc::{TpcC, TpcCTxn};
-
-    println!("\n== Policy map: per-table scopes + adaptive (TPC-C Payment) ==");
-    println!(
-        "{:>17} {:>7} {:>12} {:>13}",
-        "config", "agents", "attempts/s", "promote/demote"
-    );
-    let mut rows = Vec::new();
-
-    // Denser heat-sampling than the default 1-in-64: inheritance under a
-    // scoped map seeds from the txn where *both* a table head and the
-    // root head take the sampled latched path (criterion 5 needs the
-    // parent decided in the same pass), a (1/N)^2 event per transaction.
-    // 1-in-8 keeps that deterministic at smoke scale while leaving 7/8 of
-    // the traffic on the grant-word fast path; applied to every
-    // configuration so the comparison stays fair.
-    let sample_every = 8;
-
-    // Part 1: global baseline vs global aggressive vs the per-table map.
-    let configs: [(&'static str, sli_engine::DatabaseConfig); 3] = [
-        (
-            "global-baseline",
-            crate::setup::db_config_for(PolicyKind::Baseline),
-        ),
-        (
-            "global-aggressive",
-            crate::setup::db_config_for(PolicyKind::AggressiveSli),
-        ),
-        (
-            "table-override",
-            crate::setup::db_config_for(PolicyKind::Baseline)
-                .table_policy("tpcc_warehouse", PolicyKind::AggressiveSli)
-                .table_policy("tpcc_district", PolicyKind::AggressiveSli),
-        ),
-    ];
-    for (label, mut cfg) in configs {
-        cfg.lock.fastpath.sample_every = sample_every;
-        let db = Database::open(cfg);
-        let tpcc = TpcC::load(&db, scale.tpcc, 42);
-        let mix = tpcc.single(TpcCTxn::Payment);
-        for agents in scale.short_ladder() {
-            let r = run_workload(&db, &mix, &run_cfg(scale, agents));
-            let row = PolicyMapRow {
-                config: label,
-                agents,
-                throughput: r.attempts_per_sec,
-                commits: r.lock_delta.commits,
-                scopes: scope_cells(&db, &r.lock_delta),
-                promotions: 0,
-                demotions: 0,
-            };
-            print_policy_map_row(&row);
-            rows.push(row);
-        }
-    }
-
-    // Part 2: the adaptive policy up the agent ladder (promotion under
-    // rising contention), then a two-phase promote/demote demonstration.
-    let db = Database::open({
-        let mut cfg = crate::setup::db_config_for(PolicyKind::Adaptive);
-        cfg.lock.fastpath.sample_every = sample_every;
-        cfg
-    });
-    let tpcc = TpcC::load(&db, scale.tpcc, 42);
-    let mix = tpcc.single(TpcCTxn::Payment);
-    let adaptive_counters = || {
-        db.lock_manager()
-            .policy()
-            .adaptive_counters()
-            .expect("adaptive policy exposes counters")
-    };
-    let mut last = adaptive_counters();
-    for agents in scale.short_ladder() {
-        let r = run_workload(&db, &mix, &run_cfg(scale, agents));
-        let now = adaptive_counters();
-        let row = PolicyMapRow {
-            config: "adaptive",
-            agents,
-            throughput: r.attempts_per_sec,
-            commits: r.lock_delta.commits,
-            scopes: scope_cells(&db, &r.lock_delta),
-            promotions: now.0 - last.0,
-            demotions: now.1 - last.1,
-        };
-        last = now;
-        print_policy_map_row(&row);
-        rows.push(row);
-    }
-    rows.extend(adaptive_two_phase(&db, &mix, scale, adaptive_counters));
-    rows
-}
-
-/// The promote/demote demonstration: a hot phase (every agent hammering
-/// Payment — cross-agent sharing promotes the table heads) followed by a
-/// cool phase where a single *surviving session* keeps running alone. The
-/// survivor's inherited entries keep the promoted heads alive while its
-/// reclaim loop feeds them cold samples (`AdaptivePolicy::on_reclaim`), so
-/// the heads demote under hysteresis instead of staying frozen hot. Both
-/// phases run inside one thread scope: head GC between separate
-/// `run_workload` calls would otherwise discard the promotion state.
-fn adaptive_two_phase(
-    db: &Arc<Database>,
-    mix: &MixedWorkload,
-    scale: &ExperimentScale,
-    adaptive_counters: impl Fn() -> (u64, u64),
-) -> Vec<PolicyMapRow> {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    let agents = scale.max_agents.max(2);
-    let stop_hot = AtomicBool::new(false);
-    let stop_all = AtomicBool::new(false);
-    let hot_commits = AtomicU64::new(0);
-    let cool_commits = AtomicU64::new(0);
-    // Attempts = commits + benchmark-expected user failures, matching the
-    // driver's attempts_per_sec so the two-phase rows stay comparable
-    // with the ladder rows in the same table.
-    let hot_attempts = AtomicU64::new(0);
-    let cool_attempts = AtomicU64::new(0);
-    // The survivor's current parked-inheritance count, published after
-    // every transaction so the coordinator can cut the hot phase at a
-    // moment where the cool phase actually has promoted heads to demote
-    // (the survivor flaps with everyone else while contention lasts).
-    let survivor_parked = AtomicU64::new(0);
-    let before = adaptive_counters();
-    let before_stats = db.lock_stats();
-    let mut mid = (0, 0);
-    let mut mid_stats = sli_engine::LockStatsSnapshot::default();
-    // Actual phase wall times: the hot phase lasts `measure` *plus*
-    // however long the parked-hand-off cut condition takes, so throughput
-    // must divide by measured elapsed time, not the nominal window.
-    let (mut hot_secs, mut cool_secs) = (1.0f64, 1.0f64);
-    std::thread::scope(|s| {
-        for a in 0..agents {
-            let (stop_hot, stop_all) = (&stop_hot, &stop_all);
-            let (hot_commits, cool_commits) = (&hot_commits, &cool_commits);
-            let (hot_attempts, cool_attempts) = (&hot_attempts, &cool_attempts);
-            let survivor_parked = &survivor_parked;
-            let db = Arc::clone(db);
-            s.spawn(move || {
-                use rand::SeedableRng;
-                let session = db.session();
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(0xADA9 + a as u64);
-                while !stop_hot.load(Ordering::Acquire) {
-                    match mix.run_one(&session, &mut rng).1 {
-                        sli_workloads::Outcome::Commit => {
-                            hot_commits.fetch_add(1, Ordering::Relaxed);
-                            hot_attempts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        sli_workloads::Outcome::UserFail => {
-                            hot_attempts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        sli_workloads::Outcome::SysAbort => {}
-                    }
-                    if a == 0 {
-                        survivor_parked.store(session.inherited_locks() as u64, Ordering::Release);
-                    }
-                }
-                if a != 0 {
-                    return; // non-survivors retire; the survivor cools alone
-                }
-                while !stop_all.load(Ordering::Acquire) {
-                    match mix.run_one(&session, &mut rng).1 {
-                        sli_workloads::Outcome::Commit => {
-                            cool_commits.fetch_add(1, Ordering::Relaxed);
-                            cool_attempts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        sli_workloads::Outcome::UserFail => {
-                            cool_attempts.fetch_add(1, Ordering::Relaxed);
-                        }
-                        sli_workloads::Outcome::SysAbort => {}
-                    }
-                }
-            });
-        }
-        let hot_start = std::time::Instant::now();
-        std::thread::sleep(scale.measure);
-        // Cut the hot phase only when the survivor holds a hand-off, so
-        // the cool phase starts with promoted heads parked on it.
-        let deadline = std::time::Instant::now() + 10 * scale.measure;
-        while survivor_parked.load(Ordering::Acquire) == 0 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        mid = adaptive_counters();
-        mid_stats = db.lock_stats();
-        stop_hot.store(true, Ordering::Release);
-        hot_secs = hot_start.elapsed().as_secs_f64().max(0.001);
-        // The cool phase gets a longer window: demotion needs the
-        // alone-reclaim streak to complete on every parked head.
-        let cool_start = std::time::Instant::now();
-        std::thread::sleep(2 * scale.measure);
-        stop_all.store(true, Ordering::Release);
-        cool_secs = cool_start.elapsed().as_secs_f64().max(0.001);
-    });
-    let after = adaptive_counters();
-    let after_stats = db.lock_stats();
-    let rows = vec![
-        PolicyMapRow {
-            config: "adaptive-hot",
-            agents,
-            throughput: hot_attempts.load(Ordering::Relaxed) as f64 / hot_secs,
-            commits: hot_commits.load(Ordering::Relaxed),
-            scopes: scope_cells(db, &mid_stats.delta(&before_stats)),
-            promotions: mid.0 - before.0,
-            demotions: mid.1 - before.1,
-        },
-        PolicyMapRow {
-            config: "adaptive-cooldown",
-            agents: 1,
-            throughput: cool_attempts.load(Ordering::Relaxed) as f64 / cool_secs,
-            commits: cool_commits.load(Ordering::Relaxed),
-            scopes: scope_cells(db, &after_stats.delta(&mid_stats)),
-            promotions: after.0 - mid.0,
-            demotions: after.1 - mid.1,
-        },
-    ];
-    for row in &rows {
-        print_policy_map_row(row);
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
 // Grant word (latch-free compatible acquisitions on TPC-B)
 // ---------------------------------------------------------------------------
 
@@ -1284,119 +896,6 @@ mod tests {
         for r in rows {
             assert!(r.used_pct >= 0.0 && r.used_pct <= 110.0, "{r:?}");
             assert!(r.invalidated_pct >= 0.0, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn policy_matrix_runs_at_smoke_scale() {
-        let scale = ExperimentScale::smoke();
-        let rows = policy_matrix(&scale);
-        let ladder = scale.short_ladder().len();
-        assert_eq!(
-            rows.len(),
-            sli_engine::PolicyKind::ALL.len() * ladder,
-            "every shipped policy x agent ladder"
-        );
-        for r in &rows {
-            assert!(r.throughput > 0.0, "{r:?}");
-        }
-        let total = |name: &str, f: fn(&PolicyMatrixRow) -> u64| -> u64 {
-            rows.iter().filter(|r| r.policy == name).map(f).sum()
-        };
-        // Per-commit inheritance rate, robust to throughput differences.
-        let rate = |name: &str| -> f64 {
-            total(name, |r| r.inherited) as f64 / total(name, |r| r.commits).max(1) as f64
-        };
-        // Baseline must never inherit or early-release anything.
-        assert_eq!(total("baseline", |r| r.inherited), 0);
-        assert_eq!(total("baseline", |r| r.early_released), 0);
-        // Eager release never inherits (it releases early instead).
-        assert_eq!(total("eager-release", |r| r.inherited), 0);
-        // Over-inheritance: aggressive waives every filter the paper
-        // applies, so its per-commit hand-off should be larger. With the
-        // grant-word fast path on, inheritance takeoff is seeded by the
-        // stochastic 1-in-64 sampling fall-through, so at smoke scale the
-        // realized totals carry real variance (this assertion was flaky
-        // at strict >= long before scoped policies); a 2x margin still
-        // catches a broken aggressive selection while tolerating an
-        // unlucky seeding window.
-        assert!(
-            rate("aggressive") >= rate("paper-sli") * 0.5,
-            "aggressive inherited far less per commit than paper-sli: {} vs {}",
-            rate("aggressive"),
-            rate("paper-sli")
-        );
-    }
-
-    /// The policy-map CI smoke: the per-table override must actually
-    /// change the overridden tables' inherited/fast-path counters while
-    /// leaving every other table at baseline, and the adaptive policy must
-    /// promote under contention and demote when the workload cools.
-    #[test]
-    fn policy_map_runs_at_smoke_scale() {
-        let scale = ExperimentScale::smoke();
-        let rows = policy_map(&scale);
-        let ladder = scale.short_ladder().len();
-        assert_eq!(
-            rows.len(),
-            3 * ladder + ladder + 2,
-            "3 part-1 configs + adaptive ladder + two-phase"
-        );
-
-        // Pool one config's per-scope counters across its ladder.
-        let pooled = |config: &str, scope_needle: &str| -> (u64, u64, u64) {
-            rows.iter()
-                .filter(|r| r.config == config)
-                .flat_map(|r| &r.scopes)
-                .filter(|s| s.name.contains(scope_needle))
-                .fold((0, 0, 0), |(i, re, f), s| {
-                    (i + s.inherited, re + s.reclaimed, f + s.fastpath_granted)
-                })
-        };
-
-        // Global baseline: nothing inherits anywhere; the grant word does
-        // the work.
-        let (inh, _, fast) = pooled("global-baseline", "");
-        assert_eq!(inh, 0, "baseline must not inherit");
-        assert!(fast > 0, "baseline rides the grant word");
-
-        // Global aggressive: the single scope inherits.
-        let (inh, rec, _) = pooled("global-aggressive", "");
-        assert!(inh > 0, "global aggressive must inherit");
-        assert!(rec > 0, "and its hand-offs must be reclaimed");
-
-        // The per-table override: both hot-table scopes inherit and
-        // reclaim; the default (baseline) scope inherits nothing and keeps
-        // riding the fast path — other tables genuinely stay at baseline.
-        for table in ["tpcc_warehouse", "tpcc_district"] {
-            let (inh, rec, _) = pooled("table-override", table);
-            assert!(inh > 0, "{table} override scope must inherit");
-            assert!(rec > 0, "{table} hand-offs must be reclaimed");
-        }
-        let (inh, _, fast) = pooled("table-override", "default");
-        assert_eq!(inh, 0, "default scope must stay at baseline");
-        assert!(fast > 0, "default scope keeps the grant-word fast path");
-
-        // Adaptive: the hot phase promotes, the single-agent cool-down
-        // demotes (the hysteresis band working in both directions).
-        let hot = rows
-            .iter()
-            .find(|r| r.config == "adaptive-hot")
-            .expect("two-phase hot row");
-        assert!(
-            hot.promotions > 0,
-            "contention must promote hot heads: {hot:?}"
-        );
-        let cool = rows
-            .iter()
-            .find(|r| r.config == "adaptive-cooldown")
-            .expect("two-phase cool row");
-        assert!(
-            cool.demotions > 0,
-            "the surviving agent's reclaim loop must demote cooled heads: {cool:?}"
-        );
-        for r in &rows {
-            assert!(r.throughput > 0.0, "{r:?}");
         }
     }
 

@@ -3,8 +3,8 @@
 //! ```text
 //! sli-harness <experiment> [...]
 //!   experiments: fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-//!                ablation-criteria bimodal roving-hotspot policy-matrix
-//!                latch-scaling grant-word backend-matrix traffic crash-torture all
+//!                ablation-criteria bimodal roving-hotspot latch-scaling
+//!                grant-word backend-matrix traffic crash-torture all
 //! ```
 //!
 //! Scale with environment variables (see `sli-harness --help` or the crate
@@ -27,8 +27,6 @@ experiments:
   ablation-criteria  Section 4.2 criteria ablation
   bimodal            Section 4.4 bimodal workload
   roving-hotspot     Section 4.4 roving hotspot
-  policy-matrix      LockPolicy ablation: every shipped policy x agent counts
-  policy-map         scoped policies: per-table overrides + adaptive promote/demote (TPC-C)
   latch-scaling      oversubscription sweep: agents at 1x-8x cores, parking counters
   grant-word         latch-free compatible acquisitions: fast-path counters on TPC-B
   backend-matrix     concurrency backends: 2PL (sli/baseline) vs MVCC on TPC-B,
@@ -88,12 +86,6 @@ fn run_one(name: &str, scale: &ExperimentScale) -> bool {
         "roving-hotspot" => {
             figures::roving_hotspot(scale);
         }
-        "policy-matrix" => {
-            figures::policy_matrix(scale);
-        }
-        "policy-map" => {
-            figures::policy_map(scale);
-        }
         "latch-scaling" => {
             figures::latch_scaling(scale);
         }
@@ -126,8 +118,6 @@ fn run_one(name: &str, scale: &ExperimentScale) -> bool {
                 "ablation-criteria",
                 "bimodal",
                 "roving-hotspot",
-                "policy-matrix",
-                "policy-map",
                 "latch-scaling",
                 "grant-word",
                 "backend-matrix",

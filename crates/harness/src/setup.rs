@@ -143,9 +143,8 @@ pub fn db_config(sli: bool) -> DatabaseConfig {
     })
 }
 
-/// Database config for an arbitrary inheritance policy, always in-memory,
-/// with the same `SLI_ROW_WORK_NS` calibration as [`db_config`]. The
-/// policy-matrix experiment sweeps this over [`sli_engine::PolicyKind::ALL`].
+/// Database config for an explicit lock policy, always in-memory, with the
+/// same `SLI_ROW_WORK_NS` calibration as [`db_config`].
 pub fn db_config_for(policy: sli_engine::PolicyKind) -> DatabaseConfig {
     let mut cfg = DatabaseConfig::with_policy(policy).in_memory();
     cfg.row_work_ns = env_u64("SLI_ROW_WORK_NS", 800);

@@ -355,8 +355,8 @@ pub fn crash_torture() -> TortureSummary {
             let point = Point {
                 workload,
                 flavor: CrashFlavor::of(i),
-                // Alternate lock policies so recovery sees both logging
-                // interleavings (early release changes flush batching).
+                // Alternate lock policies so recovery sees the logs of
+                // both.
                 policy: if i % 2 == 0 {
                     PolicyKind::Baseline
                 } else {

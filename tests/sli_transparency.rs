@@ -58,9 +58,9 @@ fn single_threaded_results_identical_with_and_without_sli() {
     );
 }
 
-/// The transparency invariant, parameterized over every shipped policy: no
-/// inheritance (or early-release) strategy may change application-visible
-/// results relative to the baseline.
+/// The transparency invariant, parameterized over both policies:
+/// inheritance may not change application-visible results relative to the
+/// baseline.
 #[test]
 fn all_policies_produce_identical_committed_state() {
     let reference =
@@ -78,9 +78,9 @@ fn all_policies_produce_identical_committed_state() {
     }
 }
 
-/// Money conservation under concurrency, parameterized over every shipped
-/// policy: TPC-B's branch/teller/account sums must agree no matter how
-/// locks are inherited, invalidated, or released early.
+/// Money conservation under concurrency, parameterized over both policies:
+/// TPC-B's branch/teller/account sums must agree no matter how locks are
+/// inherited or invalidated.
 #[test]
 fn all_policies_preserve_tpcb_invariants_under_concurrency() {
     for kind in PolicyKind::ALL {
@@ -113,115 +113,14 @@ fn all_policies_preserve_tpcb_invariants_under_concurrency() {
             "{}: history rows == commits",
             kind.name()
         );
-        let stats = db.lock_stats();
-        match kind {
-            PolicyKind::Baseline => {
-                assert_eq!(stats.sli_inherited, 0, "baseline must not inherit");
-            }
-            PolicyKind::AggressiveSli => {
-                assert!(
-                    stats.sli_inherited > 0,
-                    "aggressive inherits unconditionally"
-                );
-            }
-            PolicyKind::EagerRelease => {
-                assert_eq!(stats.sli_inherited, 0, "eager-release must not inherit");
-            }
-            _ => {}
+        if kind == PolicyKind::Baseline {
+            assert_eq!(
+                db.lock_stats().sli_inherited,
+                0,
+                "baseline must not inherit"
+            );
         }
     }
-}
-
-/// Transparency under *scoped* policy resolution: a `PolicyMap` mixing
-/// `PaperSli`, `AggressiveSli`, and `Baseline` scopes in one database must
-/// produce byte-identical results to the uniform baseline.
-#[test]
-fn mixed_policy_map_produces_identical_results() {
-    use sli::engine::LockLevel;
-    let reference =
-        deterministic_schedule(DatabaseConfig::with_policy(PolicyKind::Baseline).in_memory());
-    // The schedule's single table under the over-inheriting policy, its
-    // record level pinned to baseline, everything else on the paper's
-    // policy — three scopes exercised by every single transaction.
-    let mixed = DatabaseConfig::default()
-        .default_policy(PolicyKind::PaperSli)
-        .table_policy("t", PolicyKind::AggressiveSli)
-        .level_policy(LockLevel::Record, PolicyKind::Baseline)
-        .in_memory();
-    assert_eq!(deterministic_schedule(mixed), reference);
-}
-
-/// TPC-B's money-conservation invariants must hold under concurrency with
-/// a mixed `PolicyMap`: accounts over-inherited (`AggressiveSli`), branches
-/// pinned to `Baseline`, everything else on `PaperSli` — and the per-scope
-/// counters must show each scope did what its policy says.
-#[test]
-fn mixed_policy_map_preserves_tpcb_invariants_under_concurrency() {
-    // Deterministic inheritance needs queued acquisitions: fast path off
-    // (as in the other inheritance tests).
-    let mut cfg = DatabaseConfig::default()
-        .default_policy(PolicyKind::PaperSli)
-        .table_policy("tpcb_account", PolicyKind::AggressiveSli)
-        .table_policy("tpcb_branch", PolicyKind::Baseline)
-        .in_memory();
-    cfg.lock.fastpath = sli::core::FastPathConfig::disabled();
-    let db = Database::open(cfg);
-    let bank = TpcB::load(&db, 4, 100);
-    let threads = 4;
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let db = Arc::clone(&db);
-        let bank = Arc::clone(&bank);
-        handles.push(std::thread::spawn(move || {
-            let s = db.session();
-            let mut rng = SmallRng::seed_from_u64(t);
-            let mut commits = 0u64;
-            for _ in 0..400 {
-                if bank.account_update(&s, &mut rng) == Outcome::Commit {
-                    commits += 1;
-                }
-            }
-            commits
-        }));
-    }
-    let commits: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let (b, t, a) = bank.balance_sums(&db);
-    assert_eq!(b, t, "branch/teller invariant under a mixed map");
-    assert_eq!(b, a, "branch/account invariant under a mixed map");
-    assert_eq!(
-        db.record_count(db.table_handle("tpcb_history").unwrap()),
-        commits,
-        "history rows == commits under a mixed map"
-    );
-    // Per-scope attribution: the aggressive scope inherited, the baseline
-    // scope did not, and the scoped counters add up to the global one.
-    let scopes = db.scope_stats();
-    let by = |needle: &str| {
-        scopes
-            .iter()
-            .find(|(n, _)| n.contains(needle))
-            .map(|(_, c)| *c)
-            .unwrap()
-    };
-    assert!(
-        by("tpcb_account").inherited > 0,
-        "aggressive account scope must inherit: {scopes:?}"
-    );
-    assert_eq!(
-        by("tpcb_branch").inherited,
-        0,
-        "baseline branch scope must not inherit: {scopes:?}"
-    );
-    let stats = db.lock_stats();
-    assert_eq!(
-        stats.sli_inherited,
-        scopes.iter().map(|(_, c)| c.inherited).sum::<u64>(),
-        "scope attribution must cover every inheritance"
-    );
-    assert!(
-        stats.sli_inherited > 0,
-        "workload never triggered inheritance; test is vacuous"
-    );
 }
 
 /// The TPC-B money-conservation invariant must hold under heavy concurrency
