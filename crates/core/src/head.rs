@@ -47,7 +47,7 @@ pub struct LockQueue {
 impl LockQueue {
     fn new(word: Arc<GrantWord>) -> Self {
         LockQueue {
-            reqs: Vec::with_capacity(4),
+            reqs: Vec::new(),
             granted_counts: [0; NUM_MODES],
             waiters: 0,
             zombie: false,

@@ -2,8 +2,9 @@
 //!
 //! "...the manager probes an internal hash table to find the desired lock
 //! head" (Section 3.2). Buckets are individually latched (Shore-MT's
-//! fine-grained synchronization); lock heads are reference counted and
-//! removed from their bucket once their queues drain, using a `zombie` flag
+//! fine-grained synchronization); lock heads are reference counted. Page,
+//! table and database heads stay in their bucket for the table's lifetime;
+//! a record head is removed once its queue drains, using a `zombie` flag
 //! to invalidate stale references held by concurrent probers.
 
 use std::sync::Arc;
@@ -13,6 +14,7 @@ use sli_profiler::Component;
 
 use crate::head::LockHead;
 use crate::id::LockId;
+use crate::word::GrantWordSnapshot;
 
 struct Bucket {
     heads: Vec<Arc<LockHead>>,
@@ -47,7 +49,7 @@ impl LockTable {
 
     /// Find the lock head for `id`, creating it if absent.
     ///
-    /// The returned head may race with [`LockTable::remove_if_empty`];
+    /// A returned record head may race with [`LockTable::remove_if_empty`];
     /// callers must re-check `zombie` after latching the head's queue and
     /// retry the probe if set.
     ///
@@ -84,6 +86,10 @@ impl LockTable {
     /// zombie so concurrent holders of the `Arc` retry their probe.
     /// Returns true if removed.
     pub fn remove_if_empty(&self, head: &Arc<LockHead>) -> bool {
+        debug_assert!(
+            !head.id().level().is_page_or_higher(),
+            "only record heads retire"
+        );
         let mut b = self.bucket(head.id()).lock();
         // Latch order: bucket -> head. Probers never hold the bucket latch
         // while latching a head, so this cannot deadlock.
@@ -114,6 +120,24 @@ impl LockTable {
     /// True when no lock heads exist.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Head-leak check once no transaction or inherited lock is left: the
+    /// number of retained heads if no record head remains and each is idle
+    /// (empty queue, all-zero grant word), else the first offender.
+    pub fn quiescent_heads(&self) -> Result<usize, LockId> {
+        let mut n = 0;
+        for bucket in self.buckets.iter() {
+            for h in &bucket.lock().heads {
+                let idle = h.latch_untracked().is_empty()
+                    && h.grant_word().snapshot() == GrantWordSnapshot::default();
+                if !idle || !h.id().level().is_page_or_higher() {
+                    return Err(h.id());
+                }
+                n += 1;
+            }
+        }
+        Ok(n)
     }
 }
 
@@ -154,12 +178,13 @@ mod tests {
     #[test]
     fn empty_heads_are_removed_and_zombied() {
         let t = LockTable::new(64);
-        let h = t.get_or_create(LockId::Table(TableId(9)));
+        let id = LockId::Record(TableId(9), 0, 0);
+        let h = t.get_or_create(id);
         assert!(t.remove_if_empty(&h));
         assert_eq!(t.len(), 0);
         assert!(h.latch_untracked().zombie);
         // A new probe creates a fresh head.
-        let h2 = t.get_or_create(LockId::Table(TableId(9)));
+        let h2 = t.get_or_create(id);
         assert!(!Arc::ptr_eq(&h, &h2));
     }
 
@@ -167,18 +192,44 @@ mod tests {
     fn nonempty_heads_are_not_removed() {
         let t = LockTable::new(64);
         let stats = LockStats::new();
-        let h = t.get_or_create(LockId::Table(TableId(2)));
-        let req = Arc::new(LockRequest::new_granted(
-            LockId::Table(TableId(2)),
-            0,
-            1,
-            LockMode::IS,
-        ));
+        let id = LockId::Record(TableId(2), 0, 0);
+        let h = t.get_or_create(id);
+        let req = Arc::new(LockRequest::new_granted(id, 0, 1, LockMode::S));
         h.latch().push_granted(req.clone());
         assert!(!t.remove_if_empty(&h));
         assert_eq!(t.len(), 1);
         h.latch().release(&req, &stats);
         assert!(t.remove_if_empty(&h));
+    }
+
+    #[test]
+    fn quiescent_heads_flags_records_and_busy_heads() {
+        let t = LockTable::new(64);
+        let stats = LockStats::new();
+        assert_eq!(t.quiescent_heads(), Ok(0));
+        let page = LockId::Page(TableId(1), 0);
+        let h = t.get_or_create(page);
+        t.get_or_create(LockId::Database);
+        assert_eq!(t.quiescent_heads(), Ok(2));
+        let req = Arc::new(LockRequest::new_granted(page, 0, 1, LockMode::IS));
+        h.latch().push_granted(req.clone());
+        assert_eq!(t.quiescent_heads(), Err(page), "a holder is not idle");
+        h.latch().release(&req, &stats);
+        h.grant_word().inc_inherited();
+        assert_eq!(
+            t.quiescent_heads(),
+            Err(page),
+            "an inherited count is not idle"
+        );
+        h.grant_word().dec_inherited();
+        assert_eq!(t.quiescent_heads(), Ok(2));
+        let rec = LockId::Record(TableId(1), 0, 0);
+        t.get_or_create(rec);
+        assert_eq!(
+            t.quiescent_heads(),
+            Err(rec),
+            "a record head outlived its queue"
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl LockLevel {
 }
 
 /// The identity of a lockable object.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockId {
     /// The single database object at the root of the hierarchy.
     Database,
@@ -108,6 +108,37 @@ impl LockId {
         z ^ (z >> 31)
     }
 }
+
+impl std::hash::Hash for LockId {
+    /// Writes [`LockId::hash64`] once; it is fully mixed, so
+    /// [`LockIdHasher`] passes it through.
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash64());
+    }
+}
+
+/// Pass-through hasher for maps keyed by [`LockId`]: no second (SipHash)
+/// pass over an already-finalized hash.
+#[derive(Default)]
+pub(crate) struct LockIdHasher(u64);
+
+impl std::hash::Hasher for LockIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    #[inline]
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("LockIdHasher hashes LockId keys only");
+    }
+}
+
+/// `BuildHasher` for the transaction lock cache.
+pub(crate) type BuildLockIdHasher = std::hash::BuildHasherDefault<LockIdHasher>;
 
 impl std::fmt::Display for LockId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

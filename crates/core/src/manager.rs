@@ -72,9 +72,9 @@ impl LockManager {
         &self.stats
     }
 
-    /// Number of live lock heads (diagnostics).
-    pub fn live_lock_heads(&self) -> usize {
-        self.table.len()
+    /// See [`LockTable::quiescent_heads`] (diagnostics and tests).
+    pub fn quiescent_heads(&self) -> Result<usize, LockId> {
+        self.table.quiescent_heads()
     }
 
     /// Look up the lock head for `id`, if one exists (diagnostics, tests,
@@ -210,12 +210,18 @@ impl LockManager {
         let track = mode.is_intent() && id.level().is_page_or_higher();
         let stats = self.stats.agent(ts.agent_slot);
         // --- lock-cache fast paths -------------------------------------
-        match ts.cache.get(&id).cloned() {
-            Some(Entry::Fast(held, head)) => {
-                if held.implies(mode) {
-                    stats.on_cache_hit();
-                    return Ok(());
-                }
+        // A hit touches no reference count: the held heads are shared with
+        // other agents, so cloning their `Arc`s would bounce cache lines.
+        let entry = match ts.cache.get(&id) {
+            None => return self.acquire_fresh(ts, agent, id, mode),
+            Some(e) if e.held_by(ts.txn_seq).is_some_and(|m| m.implies(mode)) => {
+                stats.on_cache_hit();
+                return Ok(());
+            }
+            Some(e) => e.clone(),
+        };
+        match entry {
+            Entry::Fast(held, head) => {
                 // Upgrading a grant-word hold: materialize a queued
                 // request at the held mode, then run the normal upgrade.
                 let req = self.materialize_fast(ts, agent, id, held, &head);
@@ -224,12 +230,8 @@ impl LockManager {
                 }
                 return self.upgrade(ts, &req, &head, mode);
             }
-            Some(Entry::Queued(req, head)) => match req.status() {
+            Entry::Queued(req, head) => match req.status() {
                 RequestStatus::Granted | RequestStatus::Converting if req.txn() == ts.txn_seq => {
-                    if req.mode().implies(mode) {
-                        stats.on_cache_hit();
-                        return Ok(());
-                    }
                     if track {
                         stats.on_ancestor_acquire(false);
                     }
@@ -277,7 +279,6 @@ impl LockManager {
                     ts.cache.remove(&id);
                 }
             },
-            None => {}
         }
         self.acquire_fresh(ts, agent, id, mode)
     }
@@ -394,19 +395,17 @@ impl LockManager {
 
     /// Probe the hash table for `id`'s head, serving database/table levels
     /// from the agent's cross-transaction memo so the steady-state
-    /// hierarchy walk skips the bucket latch entirely. Memo entries are
-    /// zombie-checked here; latched paths re-check under the latch and
-    /// evict on retry.
+    /// hierarchy walk skips the bucket latch entirely. Those heads are
+    /// permanent (see [`LockManager::maybe_gc_head`]), so a memo entry
+    /// never goes stale.
     fn probe_head(&self, agent: &mut AgentSliState, id: LockId) -> Arc<LockHead> {
         if id.level() > LockLevel::Table {
             return self.table.get_or_create(id);
         }
         if let Some(h) = agent.memoized_head(id) {
-            if !h.grant_word().is_zombie() {
-                self.stats.agent(agent.slot()).on_headcache_hit();
-                return Arc::clone(h);
-            }
-            agent.evict_head(id);
+            debug_assert!(!h.grant_word().is_zombie(), "{id} heads never retire");
+            self.stats.agent(agent.slot()).on_headcache_hit();
+            return Arc::clone(h);
         }
         let head = self.table.get_or_create(id);
         self.stats.agent(agent.slot()).on_headcache_miss();
@@ -454,10 +453,7 @@ impl LockManager {
                         ts.insert_fast(mode, head);
                         return Ok(());
                     }
-                    FastAcquire::Zombie => {
-                        agent.evict_head(id);
-                        continue; // raced with head removal; re-probe
-                    }
+                    FastAcquire::Zombie => continue, // raced with head removal; re-probe
                     FastAcquire::Conflict => {
                         stats.on_fastpath_fallback();
                         try_fast = false;
@@ -473,7 +469,6 @@ impl LockManager {
             {
                 let mut q = head.latch_observe(ts.agent_slot);
                 if q.zombie {
-                    agent.evict_head(id);
                     continue; // raced with head removal; re-probe
                 }
                 if q.waiters == 0 && q.compatible_with_granted(mode, None) && q.claim_queued(mode) {
@@ -901,12 +896,16 @@ impl LockManager {
         self.maybe_gc_head(head);
     }
 
-    /// Remove the lock head from the hash table if its queue drained.
+    /// Remove a record's lock head from the hash table if its queue
+    /// drained. Page, table and database heads are permanent: every
+    /// transaction re-requests them, so freeing one only re-allocates it
+    /// (and resets its hot window) a moment later. Their number is bounded
+    /// by heap pages, which are never deallocated, plus tables plus one.
     fn maybe_gc_head(&self, head: &Arc<LockHead>) {
         // Opportunistic: peek without latching; remove_if_empty re-checks
         // under both latches (and the grant word's retire CAS refuses
         // while fast-path holders exist).
-        if head.grant_word().fast_total() > 0 {
+        if head.id().level().is_page_or_higher() || head.grant_word().fast_total() > 0 {
             return;
         }
         let empty = {
@@ -995,7 +994,58 @@ mod tests {
         assert_eq!(ts.locks_held(), 4);
         m.end_txn(&mut ts, &mut agent, true);
         assert_eq!(ts.locks_held(), 0);
-        assert_eq!(m.live_lock_heads(), 0, "all heads GCed after release");
+        assert_eq!(
+            m.quiescent_heads(),
+            Ok(3),
+            "record head GCed; db, table, page retained idle"
+        );
+    }
+
+    #[test]
+    fn page_head_is_retained_with_its_hot_window() {
+        let m = mgr_latched(false);
+        let mut agent = m.register_agent().unwrap();
+        let mut ts = TxnLockState::new(agent.slot());
+        let page = LockId::Page(TableId(1), 0);
+        m.begin(&mut ts, &mut agent);
+        m.lock(&mut ts, &mut agent, rec(1, 0, 0), LockMode::S)
+            .unwrap();
+        heat(&m, page);
+        m.end_txn(&mut ts, &mut agent, true);
+        let first = m.head(page).expect("page head retained after commit");
+        let sli = &m.config().sli;
+        assert!(first.hot().is_hot(sli.hot_threshold, sli.hot_window));
+        m.begin(&mut ts, &mut agent);
+        m.lock(&mut ts, &mut agent, rec(1, 0, 1), LockMode::S)
+            .unwrap();
+        m.end_txn(&mut ts, &mut agent, true);
+        let second = m.head(page).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "same head across txns");
+        // One uncontended latched sample shifted in: still hot at the
+        // default threshold.
+        assert!(second.hot().is_hot(sli.hot_threshold, sli.hot_window));
+        assert!(!second.grant_word().is_zombie());
+        m.retire_agent(&mut agent);
+    }
+
+    #[test]
+    fn record_head_is_zombied_and_unlinked_when_its_queue_drains() {
+        let m = mgr(false);
+        let mut agent = m.register_agent().unwrap();
+        let mut ts = TxnLockState::new(agent.slot());
+        let id = rec(1, 0, 0);
+        m.begin(&mut ts, &mut agent);
+        m.lock(&mut ts, &mut agent, id, LockMode::X).unwrap();
+        let head = m.head(id).unwrap();
+        m.end_txn(&mut ts, &mut agent, true);
+        assert!(m.head(id).is_none(), "unlinked from its bucket");
+        assert!(head.latch_untracked().zombie);
+        assert!(head.grant_word().is_zombie());
+        m.begin(&mut ts, &mut agent);
+        m.lock(&mut ts, &mut agent, id, LockMode::X).unwrap();
+        assert!(!Arc::ptr_eq(&head, &m.head(id).unwrap()), "fresh head");
+        m.end_txn(&mut ts, &mut agent, true);
+        assert_eq!(m.quiescent_heads(), Ok(3));
     }
 
     #[test]
@@ -1355,7 +1405,7 @@ mod tests {
         heat(&m, LockId::Table(TableId(1)));
         m.end_txn(&mut ts, &mut agent, false);
         assert_eq!(agent.inherited_count(), 0);
-        assert_eq!(m.live_lock_heads(), 0);
+        assert_eq!(m.quiescent_heads(), Ok(3));
         assert_eq!(m.stats().snapshot().aborts, 1);
     }
 
@@ -1374,7 +1424,7 @@ mod tests {
         assert!(agent.inherited_count() > 0);
         m.retire_agent(&mut agent);
         assert_eq!(agent.inherited_count(), 0);
-        assert_eq!(m.live_lock_heads(), 0);
+        assert_eq!(m.quiescent_heads(), Ok(3), "no inherited count left behind");
     }
 
     #[test]
@@ -1463,7 +1513,11 @@ mod tests {
         assert_eq!(head.grant_word().fast_counts(), [1, 0, 0]);
         assert!(head.latch_untracked().is_empty());
         m.end_txn(&mut ts, &mut agent, true);
-        assert_eq!(m.live_lock_heads(), 0, "fast release GCs drained heads");
+        assert_eq!(
+            m.quiescent_heads(),
+            Ok(3),
+            "fast release GCs the record head"
+        );
     }
 
     #[test]
@@ -1509,7 +1563,7 @@ mod tests {
         assert_eq!(head.grant_word().fast_total(), 0);
         assert_eq!(head.latch_untracked().granted_mode(), LockMode::SIX);
         m.end_txn(&mut ts, &mut agent, true);
-        assert_eq!(m.live_lock_heads(), 0);
+        assert_eq!(m.quiescent_heads(), Ok(2));
     }
 
     #[test]
@@ -1564,11 +1618,11 @@ mod tests {
             m.end_txn(&mut ts, &mut agent, true);
         }
         let snap = m.stats().snapshot();
-        // db + table probes: cold misses on the first txn, memo hits after
-        // (heads stay alive? no — they are GC'd between txns, so the memo
-        // must detect the zombie and re-probe).
-        assert!(agent.memoized_heads() >= 1);
-        assert!(snap.headcache_hits + snap.headcache_misses >= 6);
+        // db + table probes: cold misses on the first txn, memo hits on
+        // the next two (those heads are permanent).
+        assert_eq!(agent.memoized_heads(), 2);
+        assert_eq!(snap.headcache_misses, 2);
+        assert_eq!(snap.headcache_hits, 4);
         m.retire_agent(&mut agent);
         assert_eq!(agent.memoized_heads(), 0);
     }
@@ -1690,7 +1744,7 @@ mod tests {
         assert!(total > 0);
         let snap = m.stats().snapshot();
         assert_eq!(snap.commits, total);
-        assert_eq!(m.live_lock_heads(), 0, "no leaked lock heads");
+        assert_eq!(m.quiescent_heads(), Ok(4), "db, table, two pages; no leaks");
     }
 
     #[test]
@@ -1848,7 +1902,7 @@ mod policy_tests {
         m.lock(&mut ts, &mut agent, rec(1, 4), LockMode::X).unwrap();
         assert_eq!(ts.held_mode(rec(1, 4)), Some(LockMode::X));
         m.end_txn(&mut ts, &mut agent, true);
-        assert_eq!(m.live_lock_heads(), 0);
+        assert_eq!(m.quiescent_heads(), Ok(3));
         m.retire_agent(&mut agent);
     }
 
@@ -1966,6 +2020,6 @@ mod policy_tests {
         assert_eq!(snap.census_cold_row, commits * RECORDS);
         assert_eq!(snap.census_cold_high, commits * 3);
         assert_eq!(snap.hot_locks(), 0);
-        assert_eq!(m.live_lock_heads(), 0);
+        assert_eq!(m.quiescent_heads(), Ok(1 + 2 * AGENTS as usize));
     }
 }

@@ -46,7 +46,7 @@ pub struct AgentSliState {
     pub(crate) release_scratch: Vec<Arc<LockRequest>>,
     /// Memoized database/table lock heads, kept across transactions so the
     /// steady-state hierarchy walk skips the hash table's bucket latch
-    /// entirely. Entries are zombie-checked on use and evicted lazily.
+    /// entirely. Those heads are never retired, so entries never go stale.
     head_memo: Vec<(LockId, Arc<LockHead>)>,
     /// Xorshift state driving the 1-in-N heat-sampling fall-through. A
     /// plain modulo counter resonates with fixed locks-per-transaction
@@ -80,9 +80,7 @@ impl AgentSliState {
         }
     }
 
-    /// Look up a memoized lock head. The caller must still treat the head
-    /// as potentially stale (zombie-check it before use); this only skips
-    /// the bucket-latch probe.
+    /// Look up a memoized lock head, skipping the bucket-latch probe.
     pub(crate) fn memoized_head(&self, id: LockId) -> Option<&Arc<LockHead>> {
         self.head_memo
             .iter()
@@ -90,22 +88,13 @@ impl AgentSliState {
             .map(|(_, h)| h)
     }
 
-    /// Memoize a freshly probed head, evicting the oldest entry at
+    /// Memoize a head the memo missed, evicting the oldest entry at
     /// capacity.
     pub(crate) fn memoize_head(&mut self, id: LockId, head: Arc<LockHead>) {
-        if let Some(slot) = self.head_memo.iter_mut().find(|(mid, _)| *mid == id) {
-            slot.1 = head;
-            return;
-        }
         if self.head_memo.len() >= HEAD_MEMO_CAP {
             self.head_memo.remove(0);
         }
         self.head_memo.push((id, head));
-    }
-
-    /// Drop a memo entry whose head turned out to be a zombie.
-    pub(crate) fn evict_head(&mut self, id: LockId) {
-        self.head_memo.retain(|(mid, _)| *mid != id);
     }
 
     /// Drop every memoized head (agent retirement).

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::head::LockHead;
-use crate::id::LockId;
+use crate::id::{BuildLockIdHasher, LockId};
 use crate::mode::LockMode;
 use crate::request::{LockRequest, RequestStatus};
 
@@ -53,6 +53,21 @@ impl Entry {
             Entry::Fast(m, _) => *m,
         }
     }
+
+    /// The mode transaction `txn` holds through this entry, if it owns it.
+    pub(crate) fn held_by(&self, txn: u64) -> Option<LockMode> {
+        match self {
+            Entry::Queued(req, _) => match req.status() {
+                RequestStatus::Granted | RequestStatus::Converting if req.txn() == txn => {
+                    Some(req.mode())
+                }
+                _ => None,
+            },
+            // Fast entries never outlive the transaction (the cache is
+            // cleared at end_txn/reset), so presence implies ownership.
+            Entry::Fast(mode, _) => Some(*mode),
+        }
+    }
 }
 
 /// Lock-management state of one running transaction.
@@ -62,7 +77,7 @@ pub struct TxnLockState {
     /// Private lock list, acquisition order (parents precede children).
     pub(crate) requests: Vec<Entry>,
     /// Lock cache: id -> request (owned this txn, or inherited candidates).
-    pub(crate) cache: HashMap<LockId, Entry>,
+    pub(crate) cache: HashMap<LockId, Entry, BuildLockIdHasher>,
     pub(crate) aborted: bool,
 }
 
@@ -74,7 +89,7 @@ impl TxnLockState {
             txn_seq: 0,
             agent_slot,
             requests: Vec::with_capacity(16),
-            cache: HashMap::with_capacity(32),
+            cache: HashMap::with_capacity_and_hasher(32, BuildLockIdHasher::default()),
             aborted: false,
         }
     }
@@ -101,17 +116,7 @@ impl TxnLockState {
 
     /// The mode in which this transaction holds `id`, if any.
     pub fn held_mode(&self, id: LockId) -> Option<LockMode> {
-        match self.cache.get(&id)? {
-            Entry::Queued(req, _) => match req.status() {
-                RequestStatus::Granted | RequestStatus::Converting if req.txn() == self.txn_seq => {
-                    Some(req.mode())
-                }
-                _ => None,
-            },
-            // Fast entries never outlive the transaction (the cache is
-            // cleared at end_txn/reset), so presence implies ownership.
-            Entry::Fast(mode, _) => Some(*mode),
-        }
+        self.cache.get(&id)?.held_by(self.txn_seq)
     }
 
     /// The mode of a grant-word fast-path hold on `id`, if that is how
@@ -195,6 +200,43 @@ mod tests {
         let req = Arc::new(LockRequest::new_granted(id, 0, 3, LockMode::IS));
         ts.cache.insert(id, Entry::Queued(req, head));
         assert_eq!(ts.held_mode(id), None);
+    }
+
+    #[test]
+    fn cache_finds_ten_thousand_ids_of_every_level() {
+        let mut ts = TxnLockState::new(0);
+        ts.reset(1);
+        let mut ids = vec![LockId::Database];
+        for t in 0..10u32 {
+            ids.push(LockId::Table(TableId(t)));
+            for p in 0..40u32 {
+                ids.push(LockId::Page(TableId(t), p));
+                for r in 0..25u16 {
+                    ids.push(LockId::Record(TableId(t), p, r));
+                }
+            }
+        }
+        assert!(ids.len() >= 10_000);
+        for (i, &id) in ids.iter().enumerate() {
+            let mode = if i % 2 == 0 {
+                LockMode::S
+            } else {
+                LockMode::IX
+            };
+            ts.insert_fast(mode, LockHead::new(id));
+        }
+        assert_eq!(ts.cache.len(), ids.len(), "no two ids collapse");
+        for (i, &id) in ids.iter().enumerate() {
+            let mode = if i % 2 == 0 {
+                LockMode::S
+            } else {
+                LockMode::IX
+            };
+            assert_eq!(ts.held_mode(id), Some(mode), "{id}");
+            assert_eq!(ts.cache[&id].id(), id);
+        }
+        assert_eq!(ts.held_mode(LockId::Table(TableId(10))), None);
+        assert_eq!(ts.held_mode(LockId::Record(TableId(0), 40, 0)), None);
     }
 
     #[test]

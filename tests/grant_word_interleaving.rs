@@ -226,7 +226,8 @@ proptest! {
         }
         m.retire_agent(&mut a1);
         m.retire_agent(&mut a2);
-        prop_assert_eq!(m.live_lock_heads(), 0, "lock heads leaked");
+        let heads = m.quiescent_heads();
+        prop_assert!(heads.is_ok(), "record head leaked or retained head busy: {:?}", heads);
     }
 }
 

@@ -44,7 +44,7 @@ proptest! {
     /// Any single-transaction sequence of lock requests succeeds (no
     /// self-deadlock), leaves the manager holding exactly the locks implied
     /// by the strongest request per object, and drains completely at
-    /// commit.
+    /// commit (only idle page-or-higher heads remain).
     #[test]
     fn single_txn_schedules_never_self_deadlock(
         ops in prop::collection::vec((arb_lock_id(), arb_mode()), 1..40),
@@ -80,12 +80,13 @@ proptest! {
         m.end_txn(&mut ts, &mut agent, true);
         prop_assert_eq!(ts.locks_held(), 0);
         m.retire_agent(&mut agent);
-        prop_assert_eq!(m.live_lock_heads(), 0, "lock heads leaked");
+        let heads = m.quiescent_heads();
+        prop_assert!(heads.is_ok(), "record head leaked or retained head busy: {:?}", heads);
     }
 
     /// Consecutive transactions on one agent: regardless of the schedule
-    /// and the inheritance policy, retiring the agent leaves no lock heads
-    /// behind.
+    /// and the inheritance policy, retiring the agent leaves no record
+    /// head behind and every retained (page or higher) head idle.
     #[test]
     fn sequential_txns_never_leak_locks(
         txns in prop::collection::vec(
@@ -117,7 +118,8 @@ proptest! {
         }
         m.retire_agent(&mut agent);
         prop_assert_eq!(agent.inherited_count(), 0);
-        prop_assert_eq!(m.live_lock_heads(), 0, "lock heads leaked");
+        let heads = m.quiescent_heads();
+        prop_assert!(heads.is_ok(), "record head leaked or retained head busy: {:?}", heads);
     }
 
     /// Request-pool safety: recycling released/invalidated requests through
@@ -189,7 +191,8 @@ proptest! {
         for (mut agent, _) in agents {
             m.retire_agent(&mut agent);
         }
-        prop_assert_eq!(m.live_lock_heads(), 0, "lock heads leaked");
+        let heads = m.quiescent_heads();
+        prop_assert!(heads.is_ok(), "record head leaked or retained head busy: {:?}", heads);
     }
 
     /// Rolling back a random batch of engine operations restores the exact
