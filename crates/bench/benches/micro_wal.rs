@@ -7,15 +7,19 @@
 //! group-commit size (commits per physical flush). Numbers land in
 //! EXPERIMENTS.md.
 //!
-//! Knobs: `SLI_MICRO_WAL_COMMITS` (commits per thread, default 300),
-//! `SLI_MICRO_WAL_FSYNC_US` (simulated device latency, default 50).
+//! Each committer runs [`COMMITS_PER_THREAD`] commits against a device
+//! that takes [`FSYNC`] per flush.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::SampleStats;
-use sli_harness::env_u64;
 use sli_wal::{LogConfig, LogManager, LogRecord};
+
+/// Commits per committer thread.
+const COMMITS_PER_THREAD: u64 = 300;
+/// Simulated device latency per flush.
+const FSYNC: Duration = Duration::from_micros(50);
 
 struct Cell {
     append_p50_ns: f64,
@@ -71,16 +75,14 @@ fn drive(fsync: Duration, threads: usize, commits_per_thread: u64) -> Cell {
 }
 
 fn main() {
-    let commits_per_thread = env_u64("SLI_MICRO_WAL_COMMITS", 300);
-    let fsync = Duration::from_micros(env_u64("SLI_MICRO_WAL_FSYNC_US", 50));
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
 
     println!(
         "micro_wal: {} commits/thread, {} us simulated fsync, {} cores",
-        commits_per_thread,
-        fsync.as_micros(),
+        COMMITS_PER_THREAD,
+        FSYNC.as_micros(),
         cores
     );
     println!(
@@ -90,7 +92,7 @@ fn main() {
 
     for mult in [1usize, 2, 4] {
         let threads = cores * mult;
-        let cell = drive(fsync, threads, commits_per_thread);
+        let cell = drive(FSYNC, threads, COMMITS_PER_THREAD);
         println!(
             "{:>8} {:>10.1}us {:>10.1}us {:>8.1} {:>9.1}",
             threads,

@@ -7,6 +7,6 @@
 //!   versus a full lock-manager acquire, hash-table probes, and latch
 //!   acquisition; plus `micro_substrates` and the `micro_wal` log
 //!   committer sweep.
-//! * `figures` (`harness = false`) regenerates every evaluation figure of
-//!   the paper at a bench-friendly scale, printing the same series the
-//!   paper plots. Scale through the harness's `SLI_*` environment knobs.
+//!
+//! The paper's figures are regenerated by the `sli-harness` binary
+//! (`sli-harness all`), not by a bench target.

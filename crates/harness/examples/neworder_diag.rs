@@ -1,19 +1,21 @@
 //! Diagnostic: NewOrder baseline vs SLI at fixed agent count, reporting
 //! sys-aborts and SLI counters to explain Figure 11 outliers.
 use sli_harness::driver::{run_workload, RunConfig};
-use sli_harness::setup::{tpcc_workloads, ExperimentScale};
+use sli_harness::setup::{tpcc_workloads, Knobs};
 use std::time::Duration;
 
 fn main() {
-    let mut scale = ExperimentScale::from_env();
-    scale.measure = Duration::from_millis(800);
-    scale.warmup = Duration::from_millis(300);
+    let knobs = Knobs {
+        measure: Duration::from_millis(800),
+        warmup: Duration::from_millis(300),
+        ..Knobs::from_env()
+    };
     for sli in [false, true] {
-        for w in tpcc_workloads(&scale, sli, &["NewOrder", "Delivery", "StockLevel"]) {
+        for w in tpcc_workloads(&knobs, sli, &["NewOrder", "Delivery", "StockLevel"]) {
             let cfg = RunConfig {
-                agents: scale.max_agents,
-                warmup: scale.warmup,
-                measure: scale.measure,
+                agents: knobs.max_agents,
+                warmup: knobs.warmup,
+                measure: knobs.measure,
                 seed: 5,
             };
             let r = run_workload(&w.db, &w.mix, &cfg);

@@ -29,7 +29,7 @@ use sli_workloads::tpcc::{TpcC, TpcCTxn};
 use sli_workloads::MixedWorkload;
 
 use crate::driver::{run_workload, RunConfig};
-use crate::setup::{db_config_backend, ExperimentScale};
+use crate::setup::{db_config_for, Knobs};
 
 /// One cell of the backend matrix: one workload on one backend at one
 /// agent count.
@@ -73,12 +73,12 @@ const VARIANTS: [(&str, PolicyKind, BackendKind); 3] = [
 
 const WORKLOADS: [&str; 3] = ["TPC-B", "Payment", "TPC-B-analytic"];
 
-fn load_mix(workload: &'static str, db: &Arc<Database>, scale: &ExperimentScale) -> MixedWorkload {
+fn load_mix(workload: &'static str, db: &Arc<Database>, knobs: &Knobs) -> MixedWorkload {
     match workload {
-        "TPC-B" => TpcB::load(db, scale.tpcb_branches, scale.tpcb_accounts).workload(),
-        "Payment" => TpcC::load(db, scale.tpcc, 42).single(TpcCTxn::Payment),
+        "TPC-B" => TpcB::load(db, knobs.tpcb_branches, knobs.tpcb_accounts).workload(),
+        "Payment" => TpcC::load(db, knobs.tpcc, 42).single(TpcCTxn::Payment),
         "TPC-B-analytic" => {
-            TpcB::load(db, scale.tpcb_branches, scale.tpcb_accounts).analytic_workload()
+            TpcB::load(db, knobs.tpcb_branches, knobs.tpcb_accounts).analytic_workload()
         }
         other => panic!("unknown backend-matrix workload {other}"),
     }
@@ -102,7 +102,7 @@ fn mvcc_delta(after: &MvccStats, before: &MvccStats) -> MvccStats {
 /// The backend matrix: three workloads x three engine variants x the
 /// short agent ladder, with a `BENCH_*.json` artifact per cell. Panics if
 /// any MVCC window records a single lock-manager acquisition.
-pub fn backend_matrix(scale: &ExperimentScale) -> Vec<BackendMatrixRow> {
+pub fn backend_matrix(knobs: &Knobs) -> Vec<BackendMatrixRow> {
     println!("\n== Backend matrix: 2PL (sli/baseline) vs MVCC ==");
     println!(
         "{:>15} {:>12} {:>7} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
@@ -120,13 +120,15 @@ pub fn backend_matrix(scale: &ExperimentScale) -> Vec<BackendMatrixRow> {
     let mut rows = Vec::new();
     for workload in WORKLOADS {
         for (variant, policy, backend) in VARIANTS {
-            let db = Database::open(db_config_backend(policy, backend));
-            let mix = load_mix(workload, &db, scale);
-            for agents in scale.short_ladder() {
+            let mut db_cfg = db_config_for(knobs, policy);
+            db_cfg.backend = backend;
+            let db = Database::open(db_cfg);
+            let mix = load_mix(workload, &db, knobs);
+            for agents in knobs.short_ladder() {
                 let cfg = RunConfig {
                     agents,
-                    warmup: scale.warmup,
-                    measure: scale.measure,
+                    warmup: knobs.warmup,
+                    measure: knobs.measure,
                     seed: 0xC0FFEE,
                 };
                 let mvcc_before = db.mvcc_stats().unwrap_or_default();
@@ -143,7 +145,7 @@ pub fn backend_matrix(scale: &ExperimentScale) -> Vec<BackendMatrixRow> {
                         ("read_waits".into(), mv.read_waits.to_string()),
                     ],
                 )
-                .emit();
+                .emit(knobs.bench_dir.as_deref());
                 if backend == BackendKind::Mvcc {
                     // The seam's whole claim: MVCC runs never enter the
                     // lock manager, neither the latched path nor the
@@ -201,9 +203,9 @@ mod tests {
     /// MVCC activity.
     #[test]
     fn backend_matrix_runs_at_smoke_scale() {
-        let scale = ExperimentScale::smoke();
-        let rows = backend_matrix(&scale);
-        let ladder = scale.short_ladder().len();
+        let knobs = Knobs::smoke();
+        let rows = backend_matrix(&knobs);
+        let ladder = knobs.short_ladder().len();
         assert_eq!(
             rows.len(),
             WORKLOADS.len() * VARIANTS.len() * ladder,

@@ -100,7 +100,7 @@ impl RunResult {
     }
 
     /// Package this run as a benchmark artifact (closed-loop mode).
-    /// Callers append run-specific config pairs and `.emit()` it.
+    /// Callers append run-specific config pairs and `.emit(dir)` it.
     pub fn bench_artifact(
         &self,
         experiment: &str,
@@ -263,13 +263,7 @@ pub fn run_workload(db: &Arc<Database>, mix: &MixedWorkload, cfg: &RunConfig) ->
         attempts_per_sec: (commits + user_fails) as f64 / secs,
         ..Summary::default()
     };
-    if !total_hist.is_empty() {
-        summary.p50_ns = total_hist.quantile(0.50);
-        summary.p95_ns = total_hist.quantile(0.95);
-        summary.p99_ns = total_hist.quantile(0.99);
-        summary.max_ns = total_hist.max();
-        summary.mean_ns = total_hist.mean();
-    }
+    summary.set_latency(&total_hist);
 
     RunResult {
         commits_per_sec: commits as f64 / secs,
@@ -286,86 +280,25 @@ pub fn run_workload(db: &Arc<Database>, mix: &MixedWorkload, cfg: &RunConfig) ->
     }
 }
 
-/// One step of an agent sweep, with its delta against the previous step.
-#[derive(Debug)]
-pub struct SweepStep {
-    /// The step's full run result.
-    pub result: RunResult,
-    /// Attempts/sec change versus the previous step (0 for the first).
-    pub delta_attempts_per_sec: f64,
-    /// Percentage change versus the previous step (0 for the first).
-    pub delta_pct: f64,
-}
-
-/// Structured output of an agent sweep: per-step results plus the
-/// step-over-step deltas that locate the scalability knee.
+/// Structured output of an agent sweep: one run result per agent count.
 #[derive(Debug)]
 pub struct Sweep {
     /// Steps in ladder order.
-    pub steps: Vec<SweepStep>,
+    pub steps: Vec<RunResult>,
 }
 
 impl Sweep {
-    /// Build from raw per-step results, computing deltas.
-    pub fn from_results(results: Vec<RunResult>) -> Sweep {
-        let mut steps = Vec::with_capacity(results.len());
-        let mut prev: Option<f64> = None;
-        for result in results {
-            let cur = result.attempts_per_sec;
-            let (delta, pct) = match prev {
-                Some(p) if p > 0.0 => (cur - p, (cur - p) / p * 100.0),
-                _ => (0.0, 0.0),
-            };
-            prev = Some(cur);
-            steps.push(SweepStep {
-                result,
-                delta_attempts_per_sec: delta,
-                delta_pct: pct,
-            });
-        }
-        Sweep { steps }
-    }
-
     /// The step with the highest attempts/sec (the paper's "peak
     /// throughput" point).
     pub fn peak(&self) -> &RunResult {
-        &self
-            .steps
+        self.steps
             .iter()
             .max_by(|a, b| {
-                a.result
-                    .attempts_per_sec
-                    .partial_cmp(&b.result.attempts_per_sec)
+                a.attempts_per_sec
+                    .partial_cmp(&b.attempts_per_sec)
                     .expect("throughputs are finite")
             })
             .expect("non-empty sweep")
-            .result
-    }
-
-    /// Borrow the raw results in ladder order.
-    pub fn results(&self) -> impl Iterator<Item = &RunResult> {
-        self.steps.iter().map(|s| &s.result)
-    }
-
-    /// Print the sweep as the shared step table (agents, throughput,
-    /// step delta, latency quantiles) used by every sweeping experiment.
-    pub fn print_table(&self) {
-        println!(
-            "{:>7} {:>12} {:>8} {:>9} {:>9} {:>9}",
-            "agents", "attempts/s", "step%", "p50us", "p95us", "p99us"
-        );
-        for s in &self.steps {
-            let r = &s.result;
-            println!(
-                "{:>7} {:>12.0} {:>8.1} {:>9.1} {:>9.1} {:>9.1}",
-                r.agents,
-                r.attempts_per_sec,
-                s.delta_pct,
-                r.summary.p50_ns as f64 / 1e3,
-                r.summary.p95_ns as f64 / 1e3,
-                r.summary.p99_ns as f64 / 1e3,
-            );
-        }
     }
 }
 
@@ -376,8 +309,8 @@ pub fn sweep_agents(
     counts: &[usize],
     cfg: &RunConfig,
 ) -> Sweep {
-    Sweep::from_results(
-        counts
+    Sweep {
+        steps: counts
             .iter()
             .map(|&agents| {
                 let cfg = RunConfig {
@@ -387,7 +320,7 @@ pub fn sweep_agents(
                 run_workload(db, mix, &cfg)
             })
             .collect(),
-    )
+    }
 }
 
 #[cfg(test)]
@@ -443,12 +376,12 @@ mod tests {
         let sweep = sweep_agents(&db, &mix, &[1, 2], &cfg);
         assert_eq!(sweep.steps.len(), 2);
         let p = sweep.peak();
-        assert!(p.attempts_per_sec >= sweep.steps[0].result.attempts_per_sec);
-        // First step has no predecessor; the second carries a delta.
-        assert_eq!(sweep.steps[0].delta_pct, 0.0);
-        let expected =
-            sweep.steps[1].result.attempts_per_sec - sweep.steps[0].result.attempts_per_sec;
-        assert!((sweep.steps[1].delta_attempts_per_sec - expected).abs() < 1e-9);
+        assert!(sweep
+            .steps
+            .iter()
+            .all(|s| p.attempts_per_sec >= s.attempts_per_sec));
+        assert_eq!(sweep.steps[0].agents, 1);
+        assert_eq!(sweep.steps[1].agents, 2);
     }
 
     #[test]

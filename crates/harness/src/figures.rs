@@ -16,15 +16,15 @@ use sli_workloads::MixedWorkload;
 
 use crate::driver::{run_workload, sweep_agents, RunConfig, RunResult};
 use crate::setup::{
-    all_breakdown_workloads, db_config, tm1_workloads, tpcb_workload, tpcc_workloads,
-    ExperimentScale, LoadedWorkload,
+    all_breakdown_workloads, db_config, tm1_workloads, tpcb_workload, tpcc_workloads, Knobs,
+    LoadedWorkload,
 };
 
-fn run_cfg(scale: &ExperimentScale, agents: usize) -> RunConfig {
+fn run_cfg(knobs: &Knobs, agents: usize) -> RunConfig {
     RunConfig {
         agents,
-        warmup: scale.warmup,
-        measure: scale.measure,
+        warmup: knobs.warmup,
+        measure: knobs.measure,
         seed: 0xC0FFEE,
     }
 }
@@ -54,16 +54,16 @@ pub struct Fig1Row {
 
 /// Figure 1: "Lock manager overhead as system load increases" — NDBB mix,
 /// baseline lock manager, load swept from near-idle to saturated.
-pub fn fig1(scale: &ExperimentScale) -> Vec<Fig1Row> {
-    let w = &tm1_workloads(scale, false, &["NDBB-Mix"])[0];
+pub fn fig1(knobs: &Knobs) -> Vec<Fig1Row> {
+    let w = &tm1_workloads(knobs, false, &["NDBB-Mix"])[0];
     println!("\n== Figure 1: lock manager overhead vs load (NDBB mix, baseline) ==");
     println!(
         "{:>7} {:>12} {:>10} {:>12} {:>8}",
         "agents", "attempts/s", "lm-work%", "lm-contend%", "util%"
     );
     let mut rows = Vec::new();
-    for agents in scale.agent_ladder() {
-        let r = run_workload(&w.db, &w.mix, &run_cfg(scale, agents));
+    for agents in knobs.agent_ladder() {
+        let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, agents));
         let (work, cont) = r.lockmgr_fractions();
         let row = Fig1Row {
             agents,
@@ -104,9 +104,9 @@ pub struct Fig5Row {
 /// window: one fully busy, two serializing on a latch, two mostly asleep.
 /// Shows that the profiler measures *work*, not time, and separates useless
 /// (contention) work.
-pub fn fig5(scale: &ExperimentScale) -> Vec<Fig5Row> {
+pub fn fig5(knobs: &Knobs) -> Vec<Fig5Row> {
     use sli_latch::Latch;
-    let window = scale.measure.max(Duration::from_millis(100));
+    let window = knobs.measure.max(Duration::from_millis(100));
     let latch = Arc::new(Latch::new(Component::Other));
     let mut rows = Vec::new();
     std::thread::scope(|s| {
@@ -254,18 +254,18 @@ fn print_breakdown_row(row: &BreakdownRow) {
     );
 }
 
-fn breakdown_at_peak(w: &LoadedWorkload, scale: &ExperimentScale) -> BreakdownRow {
-    let sweep = sweep_agents(&w.db, &w.mix, &scale.short_ladder(), &run_cfg(scale, 1));
+fn breakdown_at_peak(w: &LoadedWorkload, knobs: &Knobs) -> BreakdownRow {
+    let sweep = sweep_agents(&w.db, &w.mix, &knobs.short_ladder(), &run_cfg(knobs, 1));
     breakdown_row(w.label, sweep.peak())
 }
 
 /// Figure 6: execution-time breakdown at peak throughput, baseline system.
-pub fn fig6(scale: &ExperimentScale) -> Vec<BreakdownRow> {
+pub fn fig6(knobs: &Knobs) -> Vec<BreakdownRow> {
     print_breakdown_header("Figure 6: breakdown at peak, baseline (SLI off)");
-    all_breakdown_workloads(scale, false)
+    all_breakdown_workloads(knobs, false)
         .iter()
         .map(|w| {
-            let row = breakdown_at_peak(w, scale);
+            let row = breakdown_at_peak(w, knobs);
             print_breakdown_row(&row);
             row
         })
@@ -273,12 +273,12 @@ pub fn fig6(scale: &ExperimentScale) -> Vec<BreakdownRow> {
 }
 
 /// Figure 10: execution-time breakdown on a fully loaded system with SLI.
-pub fn fig10(scale: &ExperimentScale) -> Vec<BreakdownRow> {
+pub fn fig10(knobs: &Knobs) -> Vec<BreakdownRow> {
     print_breakdown_header("Figure 10: breakdown at full load, SLI enabled");
-    all_breakdown_workloads(scale, true)
+    all_breakdown_workloads(knobs, true)
         .iter()
         .map(|w| {
-            let r = run_workload(&w.db, &w.mix, &run_cfg(scale, scale.max_agents));
+            let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, knobs.max_agents));
             let row = breakdown_row(w.label, &r);
             print_breakdown_row(&row);
             row
@@ -303,18 +303,18 @@ pub struct Fig7Point {
 
 /// Figure 7: throughput vs utilization as load varies, baseline — NDBB mix,
 /// TPC-B, and TPC-C Payment.
-pub fn fig7(scale: &ExperimentScale) -> Vec<(&'static str, Vec<Fig7Point>)> {
-    let mut workloads = tm1_workloads(scale, false, &["NDBB-Mix"]);
-    workloads.push(tpcb_workload(scale, false));
-    workloads.extend(tpcc_workloads(scale, false, &["Payment"]));
+pub fn fig7(knobs: &Knobs) -> Vec<(&'static str, Vec<Fig7Point>)> {
+    let mut workloads = tm1_workloads(knobs, false, &["NDBB-Mix"]);
+    workloads.push(tpcb_workload(knobs, false));
+    workloads.extend(tpcc_workloads(knobs, false, &["Payment"]));
     println!("\n== Figure 7: throughput vs load, baseline ==");
     let mut out = Vec::new();
     for w in &workloads {
         println!("-- {} --", w.label);
         println!("{:>7} {:>8} {:>12}", "agents", "util%", "attempts/s");
         let mut curve = Vec::new();
-        for agents in scale.agent_ladder() {
-            let r = run_workload(&w.db, &w.mix, &run_cfg(scale, agents));
+        for agents in knobs.agent_ladder() {
+            let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, agents));
             let p = Fig7Point {
                 agents,
                 utilization_pct: pct(r.report.utilization()),
@@ -355,16 +355,16 @@ pub struct Fig8Row {
 
 /// Figure 8: breakdown of SLI-related characteristics of the locks each
 /// transaction acquires (baseline system under full load, census counters).
-pub fn fig8(scale: &ExperimentScale) -> Vec<Fig8Row> {
+pub fn fig8(knobs: &Knobs) -> Vec<Fig8Row> {
     println!("\n== Figure 8: lock census under load (baseline) ==");
     println!(
         "{:>12} {:>10} {:>9} {:>9} {:>9} {:>9}",
         "workload", "locks/txn", "hot+her", "hot-her", "cold-row", "cold-hi"
     );
-    all_breakdown_workloads(scale, false)
+    all_breakdown_workloads(knobs, false)
         .iter()
         .map(|w| {
-            let r = run_workload(&w.db, &w.mix, &run_cfg(scale, scale.max_agents));
+            let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, knobs.max_agents));
             let (hh, hn, cr, ch) = r.lock_delta.census_fractions();
             let row = Fig8Row {
                 label: w.label,
@@ -411,16 +411,16 @@ pub struct Fig9Row {
 
 /// Figure 9: breakdown of outcomes for locks SLI could pass between
 /// transactions (SLI enabled, full load).
-pub fn fig9(scale: &ExperimentScale) -> Vec<Fig9Row> {
+pub fn fig9(knobs: &Knobs) -> Vec<Fig9Row> {
     println!("\n== Figure 9: SLI outcomes for hot locks (SLI on) ==");
     println!(
         "{:>12} {:>9} {:>8} {:>10} {:>12} {:>13}",
         "workload", "hot/txn", "used", "discarded", "invalidated", "not-inherited"
     );
-    all_breakdown_workloads(scale, true)
+    all_breakdown_workloads(knobs, true)
         .iter()
         .map(|w| {
-            let r = run_workload(&w.db, &w.mix, &run_cfg(scale, scale.max_agents));
+            let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, knobs.max_agents));
             let d = &r.lock_delta;
             let hot = d.hot_locks().max(1) as f64;
             let row = Fig9Row {
@@ -464,20 +464,20 @@ pub struct Fig11Row {
 
 /// Figure 11: performance improvement due to SLI — peak throughput of the
 /// baseline vs the SLI system for every workload.
-pub fn fig11(scale: &ExperimentScale) -> Vec<Fig11Row> {
+pub fn fig11(knobs: &Knobs) -> Vec<Fig11Row> {
     println!("\n== Figure 11: throughput improvement due to SLI ==");
     println!(
         "{:>12} {:>14} {:>14} {:>9}",
         "workload", "baseline/s", "sli/s", "speedup"
     );
-    let base = all_breakdown_workloads(scale, false);
-    let with = all_breakdown_workloads(scale, true);
+    let base = all_breakdown_workloads(knobs, false);
+    let with = all_breakdown_workloads(knobs, true);
     base.iter()
         .zip(with.iter())
         .map(|(b, s)| {
             debug_assert_eq!(b.label, s.label);
-            let rb = sweep_agents(&b.db, &b.mix, &scale.short_ladder(), &run_cfg(scale, 1));
-            let rs = sweep_agents(&s.db, &s.mix, &scale.short_ladder(), &run_cfg(scale, 1));
+            let rb = sweep_agents(&b.db, &b.mix, &knobs.short_ladder(), &run_cfg(knobs, 1));
+            let rs = sweep_agents(&s.db, &s.mix, &knobs.short_ladder(), &run_cfg(knobs, 1));
             let pb = rb.peak().attempts_per_sec;
             let ps = rs.peak().attempts_per_sec;
             let row = Fig11Row {
@@ -515,17 +515,17 @@ pub struct AblationRow {
 }
 
 fn ablation_run(
-    scale: &ExperimentScale,
+    knobs: &Knobs,
     variant: &'static str,
     policy: sli_engine::PolicyKind,
     cfg_fn: impl FnOnce(&mut sli_engine::SliConfig),
 ) -> AblationRow {
-    let mut db_cfg = crate::setup::db_config_for(policy);
+    let mut db_cfg = crate::setup::db_config_for(knobs, policy);
     cfg_fn(&mut db_cfg.lock.sli);
     let db = Database::open(db_cfg);
-    let tm1 = Tm1::load(&db, scale.tm1_subscribers, 42);
+    let tm1 = Tm1::load(&db, knobs.tm1_subscribers, 42);
     let mix = tm1.ndbb_mix();
-    let r = run_workload(&db, &mix, &run_cfg(scale, scale.max_agents));
+    let r = run_workload(&db, &mix, &run_cfg(knobs, knobs.max_agents));
     let d = &r.lock_delta;
     AblationRow {
         variant,
@@ -538,7 +538,7 @@ fn ablation_run(
 
 /// Section 4.2 ablation: disable each inheritance criterion in turn and
 /// measure the NDBB mix at full load.
-pub fn ablation_criteria(scale: &ExperimentScale) -> Vec<AblationRow> {
+pub fn ablation_criteria(knobs: &Knobs) -> Vec<AblationRow> {
     println!("\n== Ablation: SLI inheritance criteria (NDBB mix, full load) ==");
     println!(
         "{:>18} {:>12} {:>12} {:>14} {:>10}",
@@ -546,19 +546,19 @@ pub fn ablation_criteria(scale: &ExperimentScale) -> Vec<AblationRow> {
     );
     use sli_engine::PolicyKind::{Baseline, PaperSli};
     let rows = vec![
-        ablation_run(scale, "full-sli", PaperSli, |_| {}),
-        ablation_run(scale, "sli-off", Baseline, |_| {}),
-        ablation_run(scale, "no-hot-filter", PaperSli, |c| c.hot_threshold = 0.0),
-        ablation_run(scale, "inherit-rows", PaperSli, |c| {
+        ablation_run(knobs, "full-sli", PaperSli, |_| {}),
+        ablation_run(knobs, "sli-off", Baseline, |_| {}),
+        ablation_run(knobs, "no-hot-filter", PaperSli, |c| c.hot_threshold = 0.0),
+        ablation_run(knobs, "inherit-rows", PaperSli, |c| {
             c.min_level = sli_engine::LockLevel::Record
         }),
-        ablation_run(scale, "ignore-waiters", PaperSli, |c| {
+        ablation_run(knobs, "ignore-waiters", PaperSli, |c| {
             c.require_no_waiters = false
         }),
-        ablation_run(scale, "ignore-parent", PaperSli, |c| {
+        ablation_run(knobs, "ignore-parent", PaperSli, |c| {
             c.require_parent = false
         }),
-        ablation_run(scale, "hysteresis-3", PaperSli, |c| c.hysteresis = 3),
+        ablation_run(knobs, "hysteresis-3", PaperSli, |c| c.hysteresis = 3),
     ];
     for row in &rows {
         println!(
@@ -575,7 +575,7 @@ pub fn ablation_criteria(scale: &ExperimentScale) -> Vec<AblationRow> {
 
 /// Section 4.4: the *bimodal workload* — TM1 reads and TPC-B writes with
 /// disjoint lock sets sharing the same agents, with and without hysteresis.
-pub fn bimodal(scale: &ExperimentScale) -> Vec<AblationRow> {
+pub fn bimodal(knobs: &Knobs) -> Vec<AblationRow> {
     println!("\n== Section 4.4: bimodal workload (TM1 reads + TPC-B writes) ==");
     println!(
         "{:>18} {:>12} {:>12} {:>14} {:>10}",
@@ -587,16 +587,16 @@ pub fn bimodal(scale: &ExperimentScale) -> Vec<AblationRow> {
         ("sli-h0", 0, true),
         ("sli-h2", 2, true),
     ] {
-        let mut db_cfg = db_config(sli);
+        let mut db_cfg = db_config(knobs, sli);
         db_cfg.lock.sli.hysteresis = hysteresis;
         let db = Database::open(db_cfg);
-        let tm1 = Tm1::load(&db, scale.tm1_subscribers, 42);
-        let tpcb = TpcB::load(&db, scale.tpcb_branches, scale.tpcb_accounts);
+        let tm1 = Tm1::load(&db, knobs.tm1_subscribers, 42);
+        let tpcb = TpcB::load(&db, knobs.tpcb_branches, knobs.tpcb_accounts);
         let mix = MixedWorkload::merged(
             "bimodal",
             vec![(0.5, tm1.ndbb_mix()), (0.5, tpcb.workload())],
         );
-        let r = run_workload(&db, &mix, &run_cfg(scale, scale.max_agents));
+        let r = run_workload(&db, &mix, &run_cfg(knobs, knobs.max_agents));
         let d = &r.lock_delta;
         let row = AblationRow {
             variant,
@@ -621,7 +621,7 @@ pub fn bimodal(scale: &ExperimentScale) -> Vec<AblationRow> {
 /// Section 4.4: the *roving hotspot* — an append-only history table whose
 /// hot page moves as pages fill; SLI must keep up without polluting agent
 /// lists.
-pub fn roving_hotspot(scale: &ExperimentScale) -> Vec<AblationRow> {
+pub fn roving_hotspot(knobs: &Knobs) -> Vec<AblationRow> {
     use rand::Rng;
     println!("\n== Section 4.4: roving hotspot (append-heavy history table) ==");
     println!(
@@ -630,7 +630,7 @@ pub fn roving_hotspot(scale: &ExperimentScale) -> Vec<AblationRow> {
     );
     let mut rows = Vec::new();
     for (variant, sli) in [("baseline", false), ("sli", true)] {
-        let db = Database::open(db_config(sli));
+        let db = Database::open(db_config(knobs, sli));
         let history = db.create_table("history").expect("fresh db");
         let seq = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let mix = MixedWorkload::new(
@@ -651,7 +651,7 @@ pub fn roving_hotspot(scale: &ExperimentScale) -> Vec<AblationRow> {
                 }),
             }],
         );
-        let r = run_workload(&db, &mix, &run_cfg(scale, scale.max_agents));
+        let r = run_workload(&db, &mix, &run_cfg(knobs, knobs.max_agents));
         let d = &r.lock_delta;
         let row = AblationRow {
             variant,
@@ -711,7 +711,7 @@ pub struct GrantWordRow {
 /// baseline via the grant-word CAS alone, for paper-sli via grant word +
 /// reclaim (once heads go hot, SLI's inherited entries divert fresh
 /// traffic to the latched path and reclaims take over the bypass).
-pub fn grant_word(scale: &ExperimentScale) -> Vec<GrantWordRow> {
+pub fn grant_word(knobs: &Knobs) -> Vec<GrantWordRow> {
     use sli_engine::PolicyKind;
     println!("\n== Grant word: latch-free compatible acquisitions (TPC-B) ==");
     println!(
@@ -729,11 +729,11 @@ pub fn grant_word(scale: &ExperimentScale) -> Vec<GrantWordRow> {
     );
     let mut rows = Vec::new();
     for kind in [PolicyKind::Baseline, PolicyKind::PaperSli] {
-        let db = Database::open(crate::setup::db_config_for(kind));
-        let tpcb = TpcB::load(&db, scale.tpcb_branches, scale.tpcb_accounts);
+        let db = Database::open(crate::setup::db_config_for(knobs, kind));
+        let tpcb = TpcB::load(&db, knobs.tpcb_branches, knobs.tpcb_accounts);
         let mix = tpcb.workload();
-        for agents in scale.short_ladder() {
-            let r = run_workload(&db, &mix, &run_cfg(scale, agents));
+        for agents in knobs.short_ladder() {
+            let r = run_workload(&db, &mix, &run_cfg(knobs, agents));
             let d = &r.lock_delta;
             let row = GrantWordRow {
                 policy: kind.name(),
@@ -804,7 +804,7 @@ pub struct LatchScalingRow {
 /// parking the curve should stay flat or degrade gently, with `parks`
 /// tracking `unparks` (waiters woken directly by releasers) and
 /// `requests_pooled` dwarfing `requests_allocated` once pools are warm.
-pub fn latch_scaling(scale: &ExperimentScale) -> Vec<LatchScalingRow> {
+pub fn latch_scaling(knobs: &Knobs) -> Vec<LatchScalingRow> {
     use sli_engine::PolicyKind;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -825,22 +825,22 @@ pub fn latch_scaling(scale: &ExperimentScale) -> Vec<LatchScalingRow> {
     );
     let mut rows = Vec::new();
     for kind in [PolicyKind::Baseline, PolicyKind::PaperSli] {
-        let mut cfg = crate::setup::db_config_for(kind);
+        let mut cfg = crate::setup::db_config_for(knobs, kind);
         // The whole point is exceeding the core count; give the lock
         // manager agent headroom beyond the default.
         cfg.lock.max_agents = cfg.lock.max_agents.max(8 * cores + 8);
         let db = Database::open(cfg);
-        let tm1 = Tm1::load(&db, scale.tm1_subscribers, 42);
+        let tm1 = Tm1::load(&db, knobs.tm1_subscribers, 42);
         let mix = tm1.ndbb_mix();
         for multiple in [1usize, 2, 4, 8] {
             let agents = multiple * cores;
-            let r = run_workload(&db, &mix, &run_cfg(scale, agents));
+            let r = run_workload(&db, &mix, &run_cfg(knobs, agents));
             r.bench_artifact(
                 "latch-scaling",
                 &format!("ndbb-{}-x{multiple}", kind.name()),
                 vec![("policy".into(), kind.name().into())],
             )
-            .emit();
+            .emit(knobs.bench_dir.as_deref());
             let d = &r.lock_delta;
             let p = &r.park_delta;
             let row = LatchScalingRow {
@@ -880,9 +880,9 @@ mod tests {
 
     #[test]
     fn fig1_runs_at_smoke_scale() {
-        let scale = ExperimentScale::smoke();
-        let rows = fig1(&scale);
-        assert_eq!(rows.len(), scale.agent_ladder().len());
+        let knobs = Knobs::smoke();
+        let rows = fig1(&knobs);
+        assert_eq!(rows.len(), knobs.agent_ladder().len());
         for r in &rows {
             assert!(r.throughput > 0.0);
             assert!(r.lockmgr_work_pct >= 0.0);
@@ -891,8 +891,8 @@ mod tests {
 
     #[test]
     fn fig9_fractions_are_bounded() {
-        let scale = ExperimentScale::smoke();
-        let rows = fig9(&scale);
+        let knobs = Knobs::smoke();
+        let rows = fig9(&knobs);
         for r in rows {
             assert!(r.used_pct >= 0.0 && r.used_pct <= 110.0, "{r:?}");
             assert!(r.invalidated_pct >= 0.0, "{r:?}");
@@ -901,9 +901,9 @@ mod tests {
 
     #[test]
     fn grant_word_runs_at_smoke_scale() {
-        let scale = ExperimentScale::smoke();
-        let rows = grant_word(&scale);
-        let ladder = scale.short_ladder().len();
+        let knobs = Knobs::smoke();
+        let rows = grant_word(&knobs);
+        let ladder = knobs.short_ladder().len();
         assert_eq!(rows.len(), 2 * ladder, "two policies x agent ladder");
         for r in &rows {
             assert!(r.throughput > 0.0, "{r:?}");
@@ -947,8 +947,8 @@ mod tests {
 
     #[test]
     fn latch_scaling_runs_at_smoke_scale() {
-        let scale = ExperimentScale::smoke();
-        let rows = latch_scaling(&scale);
+        let knobs = Knobs::smoke();
+        let rows = latch_scaling(&knobs);
         assert_eq!(rows.len(), 2 * 4, "two policies x four multiples");
         for r in &rows {
             assert!(r.throughput > 0.0, "{r:?}");
@@ -966,8 +966,8 @@ mod tests {
 
     #[test]
     fn fig11_produces_positive_throughputs() {
-        let scale = ExperimentScale::smoke();
-        let rows = fig11(&scale);
+        let knobs = Knobs::smoke();
+        let rows = fig11(&knobs);
         assert_eq!(rows.len(), 15);
         for r in rows {
             assert!(r.baseline > 0.0);

@@ -1,25 +1,45 @@
-//! Dataset construction and experiment scaling.
+//! The harness's front door: every experiment input, read once into
+//! [`Knobs`], plus dataset construction on top of it.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sli_engine::{BackendKind, Database, DatabaseConfig, LogConfig};
+use sli_engine::{BackendKind, Database, DatabaseConfig, PolicyKind};
+use sli_traffic::ArrivalPattern;
 use sli_workloads::tm1::{Tm1, Tm1Txn};
 use sli_workloads::tpcb::TpcB;
 use sli_workloads::tpcc::{TpcC, TpcCScale, TpcCTxn};
 use sli_workloads::MixedWorkload;
 
-/// Read a `u64` environment knob. Panics, naming the variable and its
-/// value, when it is set but not an unsigned integer: a typo such as
-/// `SLI_LOG_RING=1M` must fail the run, not silently measure the default.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    env_num(name).unwrap_or(default)
-}
+use crate::traffic::TrafficKnobs;
 
-/// Parse a numeric environment knob; `None` when unset. Panics when set
-/// but unparsable (see [`env_u64`]).
-pub(crate) fn env_num<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let v = std::env::var(name).ok()?;
+/// The `--help` block of the harness's environment knobs: name, default,
+/// meaning. [`Knobs::from_lookup`] asks for exactly the names listed here,
+/// and setting any of them to its listed default changes nothing (tests
+/// hold the two together).
+pub const KNOB_HELP: &str = "\
+SLI_MEASURE_MS         400              measurement window per point
+SLI_WARMUP_MS          200              warmup before each window
+SLI_MAX_AGENTS         nproc            largest agent count swept (>= 1)
+SLI_TM1_SUBS           100000           TM1 subscribers
+SLI_TPCB_BRANCHES      100              TPC-B branches
+SLI_TPCC_WAREHOUSES    24               TPC-C warehouses
+SLI_ROW_WORK_NS        800              synthetic per-row CPU cost
+SLI_BACKEND            locked           locked|2pl|mvcc|occ concurrency backend
+SLI_TRAFFIC_RATE       0                fixed open-loop arrival rate/s (0: ladder)
+SLI_TRAFFIC_PATTERN    poisson          constant|poisson|bursty[:on_ms:off_ms]
+SLI_TRAFFIC_SOAK_SECS  0                open-loop measure length (soak when > 0)
+SLI_TRAFFIC_WORKERS    min(4,nproc)     open-loop worker pool (>= 1)
+SLI_TORTURE_POINTS     60               crash points per torture workload
+SLI_BENCH_DIR          bench-artifacts  artifact dir; empty or 0 disables";
+
+/// Parse a numeric knob value; `None` when unset. Panics, naming the
+/// variable and its value, when it is set but unparsable: a typo such as
+/// `SLI_MEASURE_MS=1s` must fail the run, not silently measure the
+/// default.
+fn parse_num<T: std::str::FromStr>(name: &str, value: Option<String>) -> Option<T> {
+    let v = value?;
     Some(
         v.trim()
             .parse()
@@ -27,22 +47,13 @@ pub(crate) fn env_num<T: std::str::FromStr>(name: &str) -> Option<T> {
     )
 }
 
-/// Apply the log front-end knobs on top of `log`: `SLI_LOG_RING` (ring
-/// bytes) and `SLI_LOG_BATCH_US` (the flusher's batch-window cap in µs),
-/// so experiments can sweep the ring without recompiling.
-pub(crate) fn env_log(mut log: LogConfig) -> LogConfig {
-    if let Some(n) = env_num("SLI_LOG_RING") {
-        log.ring_bytes = n;
-    }
-    if let Some(us) = env_num("SLI_LOG_BATCH_US") {
-        log.batch_window = Duration::from_micros(us);
-    }
-    log
-}
-
-/// Global scaling for experiments, from environment variables.
+/// Every input of the harness: dataset scale, measurement windows, the
+/// engine under test, the open-loop and crash-torture settings, and the
+/// artifact directory. Built once ([`Knobs::from_env`] in the binary,
+/// [`Knobs::smoke`] in tests) and passed by reference to every
+/// experiment.
 #[derive(Clone, Debug)]
-pub struct ExperimentScale {
+pub struct Knobs {
     /// TM1 subscribers.
     pub tm1_subscribers: u64,
     /// TPC-B branches.
@@ -55,39 +66,90 @@ pub struct ExperimentScale {
     pub warmup: Duration,
     /// Measurement window per point.
     pub measure: Duration,
-    /// Largest agent count to sweep.
+    /// Largest agent count to sweep (at least 1).
     pub max_agents: usize,
+    /// Synthetic per-row CPU cost, ns: calibrates the baseline
+    /// lock-manager share into the paper's band (EXPERIMENTS.md).
+    pub row_work_ns: u64,
+    /// Concurrency backend every experiment database opens with.
+    pub backend: BackendKind,
+    /// Open-loop (`traffic`) settings.
+    pub traffic: TrafficKnobs,
+    /// Crash points per workload in `crash-torture`.
+    pub torture_points: u64,
+    /// Artifact output directory; `None` disables `BENCH_*.json` emission.
+    pub bench_dir: Option<PathBuf>,
 }
 
-impl ExperimentScale {
-    /// Scale from `SLI_*` environment variables; an unset knob keeps the
-    /// default written next to it.
+impl Knobs {
+    /// Knobs from the process environment (see [`KNOB_HELP`]): the
+    /// harness library's one environment read.
     pub fn from_env() -> Self {
-        let max_agents = env_u64(
-            "SLI_MAX_AGENTS",
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(8),
-        ) as usize;
-        ExperimentScale {
-            tm1_subscribers: env_u64("SLI_TM1_SUBS", 100_000),
-            tpcb_branches: env_u64("SLI_TPCB_BRANCHES", 100),
-            tpcb_accounts: env_u64("SLI_TPCB_ACCOUNTS", 1_000),
+        // The experiment driver's front door. sli-lint: allow(env)
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Knobs from any name-to-value lookup; an unset name keeps the
+    /// default listed in [`KNOB_HELP`]. Panics, naming the variable and
+    /// its value, on a malformed or degenerate setting.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
+        let num = |name: &str, default: u64| parse_num(name, lookup(name)).unwrap_or(default);
+        let at_least_one = |name: &str, default: u64| {
+            let n = num(name, default);
+            assert!(n >= 1, "{name}={n} must be at least 1");
+            n as usize
+        };
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get() as u64)
+            .unwrap_or(8);
+        let backend = lookup("SLI_BACKEND").map_or(BackendKind::default(), |v| {
+            BackendKind::parse(&v)
+                .unwrap_or_else(|| panic!("SLI_BACKEND={v:?} (expected locked|2pl|mvcc|occ)"))
+        });
+        let pattern = lookup("SLI_TRAFFIC_PATTERN").map_or(ArrivalPattern::Poisson, |v| {
+            ArrivalPattern::parse(&v).unwrap_or_else(|| {
+                panic!(
+                    "SLI_TRAFFIC_PATTERN={v:?} (expected constant|poisson|bursty[:on_ms:off_ms])"
+                )
+            })
+        });
+        Knobs {
+            tm1_subscribers: num("SLI_TM1_SUBS", 100_000),
+            tpcb_branches: num("SLI_TPCB_BRANCHES", 100),
+            tpcb_accounts: 1_000,
             tpcc: TpcCScale {
-                warehouses: env_u64("SLI_TPCC_WAREHOUSES", 24),
-                customers_per_district: env_u64("SLI_TPCC_CUSTOMERS", 300),
-                items: env_u64("SLI_TPCC_ITEMS", 5_000),
-                initial_orders_per_district: env_u64("SLI_TPCC_ORDERS", 150),
+                warehouses: num("SLI_TPCC_WAREHOUSES", 24),
+                customers_per_district: 300,
+                items: 5_000,
+                initial_orders_per_district: 150,
             },
-            warmup: Duration::from_millis(env_u64("SLI_WARMUP_MS", 200)),
-            measure: Duration::from_millis(env_u64("SLI_MEASURE_MS", 400)),
-            max_agents,
+            warmup: Duration::from_millis(num("SLI_WARMUP_MS", 200)),
+            measure: Duration::from_millis(num("SLI_MEASURE_MS", 400)),
+            max_agents: at_least_one("SLI_MAX_AGENTS", cores),
+            row_work_ns: num("SLI_ROW_WORK_NS", 800),
+            backend,
+            traffic: TrafficKnobs {
+                rate: parse_num("SLI_TRAFFIC_RATE", lookup("SLI_TRAFFIC_RATE"))
+                    .filter(|r: &f64| *r > 0.0),
+                pattern,
+                soak: Some(Duration::from_secs(num("SLI_TRAFFIC_SOAK_SECS", 0)))
+                    .filter(|d| !d.is_zero()),
+                queue_cap: 4096,
+                workers: at_least_one("SLI_TRAFFIC_WORKERS", cores.min(4)),
+                window_ms: 500,
+            },
+            torture_points: num("SLI_TORTURE_POINTS", 60),
+            bench_dir: match lookup("SLI_BENCH_DIR") {
+                None => Some(PathBuf::from("bench-artifacts")),
+                Some(v) if v.is_empty() || v == "0" => None,
+                Some(v) => Some(PathBuf::from(v)),
+            },
         }
     }
 
-    /// A miniature scale for tests.
+    /// A miniature scale for tests, emitting no artifacts.
     pub fn smoke() -> Self {
-        ExperimentScale {
+        Knobs {
             tm1_subscribers: 1_000,
             tpcb_branches: 4,
             tpcb_accounts: 100,
@@ -95,7 +157,18 @@ impl ExperimentScale {
             warmup: Duration::from_millis(20),
             measure: Duration::from_millis(60),
             max_agents: 4,
+            bench_dir: None,
+            ..Knobs::from_lookup(|_| None)
         }
+    }
+
+    /// The open-loop measure phase: the soak length when one is set, else
+    /// the closed-loop window. Open-loop windows need a few seconds to
+    /// mean anything, so the floor is 2 s even when that window is tiny.
+    pub fn traffic_measure(&self) -> Duration {
+        self.traffic
+            .soak
+            .unwrap_or(self.measure.max(Duration::from_secs(2)))
     }
 
     /// The agent counts swept by load-varying figures: powers of two up to
@@ -133,57 +206,30 @@ pub struct LoadedWorkload {
 
 /// Database config for a given SLI setting, always in-memory (the paper
 /// decouples I/O from the lock-manager experiments).
-/// `SLI_ROW_WORK_NS` (default 800) calibrates the synthetic per-row CPU
-/// cost so the baseline lock-manager share lands in the paper's band.
-pub fn db_config(sli: bool) -> DatabaseConfig {
-    db_config_for(if sli {
-        sli_engine::PolicyKind::PaperSli
-    } else {
-        sli_engine::PolicyKind::Baseline
-    })
+pub fn db_config(knobs: &Knobs, sli: bool) -> DatabaseConfig {
+    db_config_for(
+        knobs,
+        if sli {
+            PolicyKind::PaperSli
+        } else {
+            PolicyKind::Baseline
+        },
+    )
 }
 
-/// Database config for an explicit lock policy, always in-memory, with the
-/// same `SLI_ROW_WORK_NS` calibration as [`db_config`].
-pub fn db_config_for(policy: sli_engine::PolicyKind) -> DatabaseConfig {
+/// Database config for an explicit lock policy: in-memory, with the
+/// knobs' row-work calibration and concurrency backend.
+pub fn db_config_for(knobs: &Knobs, policy: PolicyKind) -> DatabaseConfig {
     let mut cfg = DatabaseConfig::with_policy(policy).in_memory();
-    cfg.row_work_ns = env_u64("SLI_ROW_WORK_NS", 800);
-    cfg.log = env_log(cfg.log);
-    // Concurrency backend (`SLI_BACKEND`: `locked`/`2pl` or `mvcc`) and
-    // MVCC GC cadence (`SLI_MVCC_GC_EVERY`).
-    cfg.backend = env_backend();
-    cfg.mvcc.gc_every = env_u64("SLI_MVCC_GC_EVERY", cfg.mvcc.gc_every);
-    cfg
-}
-
-/// The `SLI_BACKEND` knob (default: the locked backend). Panics on an
-/// unknown spelling so experiment drivers fail loudly, not silently on
-/// the wrong engine.
-pub fn env_backend() -> BackendKind {
-    match std::env::var("SLI_BACKEND") {
-        Ok(v) => BackendKind::parse(&v)
-            .unwrap_or_else(|| panic!("SLI_BACKEND={v:?} (expected locked|2pl|mvcc|occ)")),
-        Err(_) => BackendKind::default(),
-    }
-}
-
-/// Database config for an explicit backend choice (the `backend-matrix`
-/// experiment sweeps this): policy applies to the locked backend; on
-/// MVCC the lock manager sits idle and the policy is irrelevant.
-pub fn db_config_backend(policy: sli_engine::PolicyKind, backend: BackendKind) -> DatabaseConfig {
-    let mut cfg = db_config_for(policy);
-    cfg.backend = backend;
+    cfg.row_work_ns = knobs.row_work_ns;
+    cfg.backend = knobs.backend;
     cfg
 }
 
 /// Load a TM1 database and return the requested workloads built on it.
-pub fn tm1_workloads(
-    scale: &ExperimentScale,
-    sli: bool,
-    which: &[&'static str],
-) -> Vec<LoadedWorkload> {
-    let db = Database::open(db_config(sli));
-    let tm1 = Tm1::load(&db, scale.tm1_subscribers, 42);
+pub fn tm1_workloads(knobs: &Knobs, sli: bool, which: &[&'static str]) -> Vec<LoadedWorkload> {
+    let db = Database::open(db_config(knobs, sli));
+    let tm1 = Tm1::load(&db, knobs.tm1_subscribers, 42);
     which
         .iter()
         .map(|&label| {
@@ -207,9 +253,9 @@ pub fn tm1_workloads(
 }
 
 /// Load a TPC-B database and return its single workload.
-pub fn tpcb_workload(scale: &ExperimentScale, sli: bool) -> LoadedWorkload {
-    let db = Database::open(db_config(sli));
-    let tpcb = TpcB::load(&db, scale.tpcb_branches, scale.tpcb_accounts);
+pub fn tpcb_workload(knobs: &Knobs, sli: bool) -> LoadedWorkload {
+    let db = Database::open(db_config(knobs, sli));
+    let tpcb = TpcB::load(&db, knobs.tpcb_branches, knobs.tpcb_accounts);
     LoadedWorkload {
         label: "TPC-B",
         db,
@@ -218,13 +264,9 @@ pub fn tpcb_workload(scale: &ExperimentScale, sli: bool) -> LoadedWorkload {
 }
 
 /// Load a TPC-C database and return the requested workloads built on it.
-pub fn tpcc_workloads(
-    scale: &ExperimentScale,
-    sli: bool,
-    which: &[&'static str],
-) -> Vec<LoadedWorkload> {
-    let db = Database::open(db_config(sli));
-    let tpcc = TpcC::load(&db, scale.tpcc, 42);
+pub fn tpcc_workloads(knobs: &Knobs, sli: bool, which: &[&'static str]) -> Vec<LoadedWorkload> {
+    let db = Database::open(db_config(knobs, sli));
+    let tpcc = TpcC::load(&db, knobs.tpcc, 42);
     which
         .iter()
         .map(|&label| {
@@ -262,9 +304,9 @@ pub fn tpcc_workloads(
 /// The canonical column set of the breakdown figures (6, 8, 9, 10, 11):
 /// the five individually-evaluated NDBB transactions, the two NDBB mixes,
 /// TPC-B, the five TPC-C transactions, and the two TPC-C mixes.
-pub fn all_breakdown_workloads(scale: &ExperimentScale, sli: bool) -> Vec<LoadedWorkload> {
+pub fn all_breakdown_workloads(knobs: &Knobs, sli: bool) -> Vec<LoadedWorkload> {
     let mut v = tm1_workloads(
-        scale,
+        knobs,
         sli,
         &[
             "getSub",
@@ -276,9 +318,9 @@ pub fn all_breakdown_workloads(scale: &ExperimentScale, sli: bool) -> Vec<Loaded
             "NDBB-Mix",
         ],
     );
-    v.push(tpcb_workload(scale, sli));
+    v.push(tpcb_workload(knobs, sli));
     v.extend(tpcc_workloads(
-        scale,
+        knobs,
         sli,
         &[
             "Payment",
@@ -296,10 +338,26 @@ pub fn all_breakdown_workloads(scale: &ExperimentScale, sli: bool) -> Vec<Loaded
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+
+    /// A lookup over fixed `(name, value)` pairs; every other name is unset.
+    fn lookup(pairs: &[(&str, &str)]) -> impl Fn(&str) -> Option<String> {
+        let pairs: Vec<(String, String)> = pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        move |name| {
+            pairs
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v.clone())
+        }
+    }
 
     #[test]
     fn ladders_are_monotone_and_bounded() {
-        let mut s = ExperimentScale::smoke();
+        let mut s = Knobs::smoke();
         s.max_agents = 24;
         let ladder = s.agent_ladder();
         assert_eq!(ladder.first(), Some(&1));
@@ -312,21 +370,105 @@ mod tests {
 
     #[test]
     fn numeric_knobs_parse_or_fall_back() {
-        std::env::set_var("ENV_U64_TEST_SET", " 42 ");
-        assert_eq!(env_u64("ENV_U64_TEST_SET", 7), 42);
-        assert_eq!(env_u64("ENV_U64_TEST_UNSET", 7), 7);
+        let set = Knobs::from_lookup(lookup(&[("SLI_MEASURE_MS", " 42 ")]));
+        assert_eq!(set.measure, Duration::from_millis(42));
+        let unset = Knobs::from_lookup(lookup(&[]));
+        assert_eq!(unset.measure, Duration::from_millis(400));
+        assert_eq!(unset.bench_dir, Some(PathBuf::from("bench-artifacts")));
+        let off = Knobs::from_lookup(lookup(&[("SLI_BENCH_DIR", "0")]));
+        assert_eq!(off.bench_dir, None);
     }
 
     #[test]
-    #[should_panic(expected = "ENV_U64_TEST_BAD=\"1.5e3\" is not a valid number")]
+    fn traffic_measure_follows_measure_unless_soaking() {
+        let k = Knobs {
+            measure: Duration::from_secs(5),
+            ..Knobs::from_lookup(lookup(&[]))
+        };
+        assert_eq!(k.traffic_measure(), Duration::from_secs(5));
+        assert_eq!(Knobs::smoke().traffic_measure(), Duration::from_secs(2));
+        let soak = Knobs {
+            measure: Duration::from_secs(5),
+            ..Knobs::from_lookup(lookup(&[("SLI_TRAFFIC_SOAK_SECS", "30")]))
+        };
+        assert_eq!(soak.traffic_measure(), Duration::from_secs(30));
+    }
+
+    #[test]
+    #[should_panic(expected = "SLI_MEASURE_MS=\"1.5e3\" is not a valid number")]
     fn malformed_numeric_knob_panics_with_name_and_value() {
-        std::env::set_var("ENV_U64_TEST_BAD", "1.5e3");
-        env_u64("ENV_U64_TEST_BAD", 400);
+        Knobs::from_lookup(lookup(&[("SLI_MEASURE_MS", "1.5e3")]));
+    }
+
+    #[test]
+    #[should_panic(expected = "SLI_TRAFFIC_PATTERN=\"bursty:200ms:300\"")]
+    fn malformed_traffic_pattern_panics_with_name_and_value() {
+        Knobs::from_lookup(lookup(&[("SLI_TRAFFIC_PATTERN", "bursty:200ms:300")]));
+    }
+
+    #[test]
+    #[should_panic(expected = "SLI_MAX_AGENTS=0 must be at least 1")]
+    fn zero_max_agents_panics_with_name_and_value() {
+        Knobs::from_lookup(lookup(&[("SLI_MAX_AGENTS", "0")]));
+    }
+
+    #[test]
+    #[should_panic(expected = "SLI_TRAFFIC_WORKERS=0 must be at least 1")]
+    fn zero_traffic_workers_panics_with_name_and_value() {
+        Knobs::from_lookup(lookup(&[("SLI_TRAFFIC_WORKERS", "0")]));
+    }
+
+    #[test]
+    fn well_formed_traffic_pattern_parses() {
+        let k = Knobs::from_lookup(lookup(&[("SLI_TRAFFIC_PATTERN", "bursty:200:300")]));
+        assert_eq!(
+            k.traffic.pattern,
+            ArrivalPattern::Bursty {
+                on_ms: 200,
+                off_ms: 300
+            }
+        );
+    }
+
+    #[test]
+    fn from_lookup_reads_exactly_the_harness_knob_names() {
+        let asked = RefCell::new(BTreeSet::new());
+        Knobs::from_lookup(|name| {
+            asked.borrow_mut().insert(name.to_string());
+            None
+        });
+        let listed: BTreeSet<String> = KNOB_HELP
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .map(str::to_string)
+            .collect();
+        assert_eq!(KNOB_HELP.lines().count(), 14);
+        assert_eq!(listed.len(), 14, "KNOB_HELP lists a name twice");
+        assert_eq!(asked.into_inner(), listed);
+    }
+
+    #[test]
+    fn knob_help_states_each_default() {
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(8);
+        let unset = format!("{:?}", Knobs::from_lookup(lookup(&[])));
+        for line in KNOB_HELP.lines() {
+            let mut cols = line.split_whitespace();
+            let (name, default) = (cols.next().unwrap(), cols.next().unwrap());
+            let value = match default {
+                "nproc" => cores.to_string(),
+                "min(4,nproc)" => cores.min(4).to_string(),
+                v => v.to_string(),
+            };
+            let set = format!("{:?}", Knobs::from_lookup(lookup(&[(name, &value)])));
+            assert_eq!(set, unset, "{name}: --help gives its default as {default}");
+        }
     }
 
     #[test]
     fn workload_catalog_loads_at_smoke_scale() {
-        let s = ExperimentScale::smoke();
+        let s = Knobs::smoke();
         let all = all_breakdown_workloads(&s, true);
         assert_eq!(all.len(), 15);
         let labels: Vec<_> = all.iter().map(|w| w.label).collect();

@@ -35,21 +35,32 @@
 //! Every violation is counted and printed; [`crash_torture`] returns the
 //! totals so the binary (and CI) can gate on zero.
 //!
-//! Knobs: `SLI_TORTURE_POINTS` (crash points per workload, default 60),
-//! `SLI_TORTURE_AGENTS` (3), `SLI_TORTURE_TXNS` (per agent, 30),
-//! `SLI_TORTURE_SEED` (0xC0FFEE).
+//! Scale: [`Knobs::torture_points`] (`SLI_TORTURE_POINTS` crash points per
+//! workload, default 60), each driving 3 agents x 30 transactions. The
+//! run is seeded with a fixed `0xC0FFEE`, and
+//! the engine under test is [`Knobs::backend`], so `SLI_BACKEND=mvcc`
+//! tortures the validate-at-commit path against the same crash matrix.
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sli_engine::{Database, DatabaseConfig, FaultPlan, PolicyKind};
+use sli_engine::{BackendKind, Database, DatabaseConfig, FaultPlan, PolicyKind};
 use sli_wal::LogRecord;
 use sli_workloads::mix::{MixedWorkload, Outcome};
 use sli_workloads::tpcb::TpcB;
 use sli_workloads::tpcc::{TpcC, TpcCScale};
 
-use crate::setup::env_u64;
+use crate::setup::Knobs;
+
+/// Seed of the whole torture matrix; every crash point derives its own.
+const TORTURE_SEED: u64 = 0xC0_FFEE;
+
+/// Agent threads per crash point.
+const TORTURE_AGENTS: u64 = 3;
+
+/// Transactions per agent per crash point.
+const TORTURE_TXNS: u64 = 30;
 
 /// How one crash point kills the database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,27 +119,23 @@ struct Point {
 }
 
 fn durable_config(
+    backend: BackendKind,
     policy: PolicyKind,
     fault: FaultPlan,
     flush_latency: std::time::Duration,
 ) -> DatabaseConfig {
     let mut cfg = DatabaseConfig::with_policy(policy).in_memory().durable();
-    // Ring knobs apply (so torture can sweep `SLI_LOG_RING` etc.); the
-    // fault plan and latency stay point-controlled. The concurrency
-    // backend comes from `SLI_BACKEND`, so `SLI_BACKEND=mvcc` tortures
-    // the validate-at-commit path against the same crash matrix.
-    cfg.log = crate::setup::env_log(cfg.log);
     cfg.log.fault = fault;
     cfg.log.flush_latency = flush_latency;
-    cfg.backend = crate::setup::env_backend();
+    cfg.backend = backend;
     cfg
 }
 
 /// Recovery-side config: same backend as the crashed instance, so the
 /// recovered database accepts new transactions on the engine under test.
-fn recovery_config() -> DatabaseConfig {
+fn recovery_config(backend: BackendKind) -> DatabaseConfig {
     let mut cfg = DatabaseConfig::default().in_memory();
-    cfg.backend = crate::setup::env_backend();
+    cfg.backend = backend;
     cfg
 }
 
@@ -210,7 +217,7 @@ fn cut_for(flavor: CrashFlavor, log: &[u8], floor: usize, rng: &mut SmallRng) ->
     }
 }
 
-fn run_point(point: &Point, agents: u64, txns: u64) -> Result<TortureSummary, String> {
+fn run_point(point: &Point, knobs: &Knobs) -> Result<TortureSummary, String> {
     let mut rng = SmallRng::seed_from_u64(point.seed);
     let fault = match point.flavor {
         CrashFlavor::Fsync => {
@@ -227,7 +234,7 @@ fn run_point(point: &Point, agents: u64, txns: u64) -> Result<TortureSummary, St
         CrashFlavor::Fsync | CrashFlavor::Live => std::time::Duration::from_micros(200),
         _ => std::time::Duration::ZERO,
     };
-    let db = Database::open(durable_config(point.policy, fault, latency));
+    let db = Database::open(durable_config(knobs.backend, point.policy, fault, latency));
 
     // Load the workload small enough that a point stays well under a
     // second but large enough for real page/lock populations.
@@ -248,14 +255,14 @@ fn run_point(point: &Point, agents: u64, txns: u64) -> Result<TortureSummary, St
     // Live points capture the device while roughly half the workload is
     // still in flight; the other flavors crash after the run.
     let snapshot_after = match point.flavor {
-        CrashFlavor::Live => Some((agents * txns) / 2),
+        CrashFlavor::Live => Some((TORTURE_AGENTS * TORTURE_TXNS) / 2),
         _ => None,
     };
     let (acked, live_snap) = drive(
         &db,
         mix,
-        agents,
-        txns,
+        TORTURE_AGENTS,
+        TORTURE_TXNS,
         point.seed ^ 0xDEAD_BEEF,
         snapshot_after,
     );
@@ -268,7 +275,7 @@ fn run_point(point: &Point, agents: u64, txns: u64) -> Result<TortureSummary, St
     let cut = cut_for(point.flavor, &log, floor, &mut rng);
     drop(db);
 
-    let (rec, report) = Database::recover(recovery_config(), &log[..cut])
+    let (rec, report) = Database::recover(recovery_config(knobs.backend), &log[..cut])
         .map_err(|e| format!("recovery failed: {e}"))?;
 
     // The ring's hole discipline means a crash can tear at most the
@@ -306,7 +313,7 @@ fn run_point(point: &Point, agents: u64, txns: u64) -> Result<TortureSummary, St
     // Idempotence: recovering the recovered log is a no-op.
     let log2 = rec.durable_log();
     let hash1 = rec.state_hash();
-    let (rec2, report2) = Database::recover(recovery_config(), &log2)
+    let (rec2, report2) = Database::recover(recovery_config(knobs.backend), &log2)
         .map_err(|e| format!("second recovery failed: {e}"))?;
     if report2.undone != 0 {
         return Err(format!("second recovery undid {} txns", report2.undone));
@@ -329,14 +336,12 @@ fn run_point(point: &Point, agents: u64, txns: u64) -> Result<TortureSummary, St
 
 /// Run the full torture matrix and print one row per crash point group.
 /// Returns the totals; callers gate on `violations == 0`.
-pub fn crash_torture() -> TortureSummary {
-    let points = env_u64("SLI_TORTURE_POINTS", 60);
-    let agents = env_u64("SLI_TORTURE_AGENTS", 3);
-    let txns = env_u64("SLI_TORTURE_TXNS", 30);
-    let seed = env_u64("SLI_TORTURE_SEED", 0xC0_FFEE);
+pub fn crash_torture(knobs: &Knobs) -> TortureSummary {
+    let points = knobs.torture_points;
+    let seed = TORTURE_SEED;
 
     println!(
-        "crash-torture: {points} points x {{tpcb, tpcc}} ({agents} agents x {txns} txns, seed {seed:#x})"
+        "crash-torture: {points} points x {{tpcb, tpcc}} ({TORTURE_AGENTS} agents x {TORTURE_TXNS} txns, seed {seed:#x})"
     );
     println!(
         "{:<6} {:<7} {:>7} {:>9} {:>9} {:>8} {:>11}",
@@ -371,7 +376,7 @@ pub fn crash_torture() -> TortureSummary {
                 .find(|(f, _)| *f == point.flavor)
                 .map(|(_, s)| s)
                 .expect("flavor slot exists");
-            match run_point(&point, agents, txns) {
+            match run_point(&point, knobs) {
                 Ok(s) => {
                     slot.points += s.points;
                     slot.acked += s.acked;

@@ -15,16 +15,9 @@
 //! "SLI sustains a higher offered rate" claim, which is the form an
 //! operator actually cares about.
 //!
-//! Knobs (environment variables, all optional):
-//!
-//! | var | default | meaning |
-//! |-----|---------|---------|
-//! | `SLI_TRAFFIC_RATE` | ladder | fixed arrival rate/s instead of the ladder |
-//! | `SLI_TRAFFIC_PATTERN` | `poisson` | `constant`, `poisson`, `bursty[:on:off]` |
-//! | `SLI_TRAFFIC_SOAK_SECS` | 0 | measure phase length (soak mode when large) |
-//! | `SLI_TRAFFIC_QUEUE` | 4096 | admission-queue bound |
-//! | `SLI_TRAFFIC_WORKERS` | `min(4, nproc)` | worker-pool size |
-//! | `SLI_TRAFFIC_WINDOW_MS` | 500 | telemetry window length |
+//! The environment knobs (`SLI_TRAFFIC_RATE`, `SLI_TRAFFIC_PATTERN`,
+//! `SLI_TRAFFIC_SOAK_SECS`, `SLI_TRAFFIC_WORKERS`) are read into
+//! [`TrafficKnobs`] by [`Knobs::from_lookup`](crate::setup::Knobs::from_lookup).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,9 +32,7 @@ use sli_traffic::{
 use sli_workloads::{MixedWorkload, Outcome};
 
 use crate::driver::{run_workload, RunConfig};
-use crate::setup::{
-    env_num, env_u64, tpcb_workload, tpcc_workloads, ExperimentScale, LoadedWorkload,
-};
+use crate::setup::{tpcb_workload, tpcc_workloads, Knobs, LoadedWorkload};
 
 /// Adapter driving a [`MixedWorkload`] from the open-loop worker pool.
 pub struct EngineOpenLoop<'a> {
@@ -73,52 +64,23 @@ impl OpenLoopWorkload for EngineOpenLoop<'_> {
     }
 }
 
-/// Open-loop knobs resolved from the environment.
+/// Open-loop settings, part of [`Knobs`].
 #[derive(Clone, Debug)]
 pub struct TrafficKnobs {
     /// Fixed rate override (`SLI_TRAFFIC_RATE`), else the capacity ladder.
     pub rate: Option<f64>,
     /// Arrival pattern (`SLI_TRAFFIC_PATTERN`).
     pub pattern: ArrivalPattern,
-    /// Measure-phase length; `SLI_TRAFFIC_SOAK_SECS` stretches it into a
-    /// soak run.
-    pub measure: Duration,
-    /// Admission-queue bound (`SLI_TRAFFIC_QUEUE`).
+    /// Fixed measure-phase length (`SLI_TRAFFIC_SOAK_SECS`), for a soak
+    /// run; `None` measures [`Knobs::measure`], floored at 2 s (see
+    /// [`Knobs::traffic_measure`]).
+    pub soak: Option<Duration>,
+    /// Admission-queue bound (4096).
     pub queue_cap: usize,
     /// Worker-pool size (`SLI_TRAFFIC_WORKERS`).
     pub workers: usize,
-    /// Telemetry window length, ms (`SLI_TRAFFIC_WINDOW_MS`).
+    /// Telemetry window length, ms (500).
     pub window_ms: u64,
-}
-
-impl TrafficKnobs {
-    /// Resolve from environment variables, deriving the measure length
-    /// from `scale` when no soak is requested. Open-loop windows need a
-    /// few seconds to mean anything, so the floor is 2s even when the
-    /// closed-loop `SLI_MEASURE_MS` is tiny.
-    pub fn from_env(scale: &ExperimentScale) -> Self {
-        let soak = env_u64("SLI_TRAFFIC_SOAK_SECS", 0);
-        let measure = if soak > 0 {
-            Duration::from_secs(soak)
-        } else {
-            scale.measure.max(Duration::from_secs(2))
-        };
-        let pattern = std::env::var("SLI_TRAFFIC_PATTERN")
-            .ok()
-            .and_then(|s| ArrivalPattern::parse(&s))
-            .unwrap_or(ArrivalPattern::Poisson);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        TrafficKnobs {
-            rate: env_num("SLI_TRAFFIC_RATE").filter(|r: &f64| *r > 0.0),
-            pattern,
-            measure,
-            queue_cap: env_u64("SLI_TRAFFIC_QUEUE", 4096) as usize,
-            workers: env_u64("SLI_TRAFFIC_WORKERS", cores.min(4) as u64) as usize,
-            window_ms: env_u64("SLI_TRAFFIC_WINDOW_MS", 500).max(10),
-        }
-    }
 }
 
 /// One rung of the traffic ladder.
@@ -154,29 +116,27 @@ pub fn diverged(summary: &sli_traffic::Summary, queue_cap: usize) -> bool {
         || summary.attempts_per_sec < 0.9 * summary.offered_per_sec
 }
 
-/// Run one open-loop storm against a loaded workload and emit its
-/// artifact. Public so the smoke test and the experiment share a path.
+/// Run one open-loop storm against a loaded workload, after a warm-up
+/// of `knobs.warmup`, and emit its artifact into `knobs.bench_dir`.
+/// Public so the smoke test and the experiment share a path.
 pub fn storm(
     w: &LoadedWorkload,
     policy: &'static str,
-    knobs: &TrafficKnobs,
+    knobs: &Knobs,
     rate: f64,
-    warmup: Duration,
     live: bool,
 ) -> TrafficReport {
+    let t = &knobs.traffic;
+    let measure = knobs.traffic_measure();
     let cfg = TrafficConfig {
-        label: format!(
-            "{} [{policy}] @{rate:.0}/s {}",
-            w.label,
-            knobs.pattern.name()
-        ),
+        label: format!("{} [{policy}] @{rate:.0}/s {}", w.label, t.pattern.name()),
         rate,
-        pattern: knobs.pattern,
-        workers: knobs.workers,
-        queue_cap: knobs.queue_cap,
-        warmup,
-        measure: knobs.measure,
-        window_ms: knobs.window_ms,
+        pattern: t.pattern,
+        workers: t.workers,
+        queue_cap: t.queue_cap,
+        warmup: knobs.warmup,
+        measure,
+        window_ms: t.window_ms,
         seed: 0x51AF_F1C0,
     };
     let workload = EngineOpenLoop::new(&w.db, &w.mix);
@@ -204,14 +164,14 @@ pub fn storm(
         mode: "open-loop".into(),
         config: vec![
             ("policy".into(), policy.into()),
-            ("pattern".into(), knobs.pattern.describe()),
+            ("pattern".into(), t.pattern.describe()),
             ("rate".into(), format!("{rate:.0}")),
-            ("workers".into(), knobs.workers.to_string()),
-            ("queue_cap".into(), knobs.queue_cap.to_string()),
-            ("window_ms".into(), knobs.window_ms.to_string()),
+            ("workers".into(), t.workers.to_string()),
+            ("queue_cap".into(), t.queue_cap.to_string()),
+            ("window_ms".into(), t.window_ms.to_string()),
             (
                 "measure_secs".into(),
-                format!("{:.1}", knobs.measure.as_secs_f64()),
+                format!("{:.1}", measure.as_secs_f64()),
             ),
             ("log_commits".into(), commits.to_string()),
             ("log_flushes".into(), flushes.to_string()),
@@ -220,7 +180,7 @@ pub fn storm(
         windows: report.windows.clone(),
         summary: report.summary.clone(),
     };
-    if let Some(path) = artifact.emit() {
+    if let Some(path) = artifact.emit(knobs.bench_dir.as_deref()) {
         println!("artifact: {}", path.display());
     }
     report
@@ -229,13 +189,13 @@ pub fn storm(
 /// The `traffic` experiment: calibrate capacity closed-loop, then climb
 /// an offered-rate ladder open-loop, Baseline vs PaperSli, on TPC-B and
 /// the TPC-C small mix. Reports the knee where backlog diverges.
-pub fn traffic(scale: &ExperimentScale) -> Vec<TrafficRow> {
-    let knobs = TrafficKnobs::from_env(scale);
+pub fn traffic(knobs: &Knobs) -> Vec<TrafficRow> {
+    let t = &knobs.traffic;
     println!(
         "\n== Traffic: open-loop rate ladder ({} pattern, {} workers, queue {}) ==",
-        knobs.pattern.name(),
-        knobs.workers,
-        knobs.queue_cap
+        t.pattern.name(),
+        t.workers,
+        t.queue_cap
     );
     let mut rows = Vec::new();
     for (label, sli, policy) in [
@@ -245,9 +205,9 @@ pub fn traffic(scale: &ExperimentScale) -> Vec<TrafficRow> {
         ("TPCC-Small", true, "paper-sli"),
     ] {
         let w = if label == "TPC-B" {
-            tpcb_workload(scale, sli)
+            tpcb_workload(knobs, sli)
         } else {
-            let mut v = tpcc_workloads(scale, sli, &["SmallMix"]);
+            let mut v = tpcc_workloads(knobs, sli, &["SmallMix"]);
             let mut lw = v.remove(0);
             lw.label = "TPCC-Small";
             lw
@@ -258,18 +218,18 @@ pub fn traffic(scale: &ExperimentScale) -> Vec<TrafficRow> {
             &w.db,
             &w.mix,
             &RunConfig {
-                agents: knobs.workers,
-                warmup: scale.warmup,
-                measure: scale.measure,
+                agents: t.workers,
+                warmup: knobs.warmup,
+                measure: knobs.measure,
                 seed: 0xCA11B,
             },
         );
         let capacity = cal.attempts_per_sec;
         println!(
             "\n-- {label} [{policy}]: closed-loop capacity ≈ {capacity:.0}/s with {} workers --",
-            knobs.workers
+            t.workers
         );
-        let ladder: Vec<f64> = match knobs.rate {
+        let ladder: Vec<f64> = match t.rate {
             Some(r) => vec![r],
             None => [0.5, 0.8, 1.0, 1.2]
                 .iter()
@@ -278,9 +238,9 @@ pub fn traffic(scale: &ExperimentScale) -> Vec<TrafficRow> {
         };
         let mut knee: Option<f64> = None;
         for rate in ladder {
-            let report = storm(&w, policy, &knobs, rate, scale.warmup, true);
+            let report = storm(&w, policy, knobs, rate, true);
             let s = &report.summary;
-            let div = diverged(s, knobs.queue_cap);
+            let div = diverged(s, t.queue_cap);
             if div && knee.is_none() {
                 knee = Some(rate);
             }

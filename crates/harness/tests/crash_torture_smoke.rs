@@ -3,13 +3,15 @@
 //! `crash-torture` job; this keeps a representative slice (all three
 //! flavors, both workloads, both policies) in `cargo test`.
 
+use sli_harness::Knobs;
+
 #[test]
 fn crash_torture_smoke_has_no_violations() {
-    // Env knobs are read inside crash_torture; set before calling.
-    std::env::set_var("SLI_TORTURE_POINTS", "6");
-    std::env::set_var("SLI_TORTURE_AGENTS", "3");
-    std::env::set_var("SLI_TORTURE_TXNS", "20");
-    let total = sli_harness::torture::crash_torture();
+    let knobs = Knobs {
+        torture_points: 6,
+        ..Knobs::smoke()
+    };
+    let total = sli_harness::torture::crash_torture(&knobs);
     assert_eq!(total.points, 12, "6 points x 2 workloads");
     assert_eq!(total.violations, 0, "crash-torture found violations");
     assert!(total.acked > 0, "agents must commit work");

@@ -14,7 +14,7 @@ use sli_engine::Database;
 use sli_harness::driver::{run_workload, RunConfig};
 use sli_harness::setup::{db_config, LoadedWorkload};
 use sli_harness::traffic::{storm, TrafficKnobs};
-use sli_harness::ExperimentScale;
+use sli_harness::Knobs;
 use sli_traffic::ArrivalPattern;
 use sli_workloads::tpcb::TpcB;
 
@@ -25,16 +25,17 @@ const FSYNC: Duration = Duration::from_millis(1);
 
 #[test]
 fn open_loop_tpcb_groups_commits_without_shedding() {
-    // Emit artifacts into a scratch dir; this binary holds only this
-    // test, so the env mutation races with nothing.
+    // Emit artifacts into a scratch dir.
     let dir = std::env::temp_dir().join(format!("sli-log-stress-{}", std::process::id()));
-    std::env::set_var("SLI_BENCH_DIR", &dir);
-
-    let scale = ExperimentScale::smoke();
-    let mut cfg = db_config(false);
+    let mut knobs = Knobs {
+        warmup: Duration::from_millis(300),
+        bench_dir: Some(dir),
+        ..Knobs::smoke()
+    };
+    let mut cfg = db_config(&knobs, false);
     cfg.log.flush_latency = FSYNC;
     let db = Database::open(cfg);
-    let tpcb = TpcB::load(&db, scale.tpcb_branches, scale.tpcb_accounts);
+    let tpcb = TpcB::load(&db, knobs.tpcb_branches, knobs.tpcb_accounts);
     let w = LoadedWorkload {
         label: "TPC-B",
         db,
@@ -61,30 +62,23 @@ fn open_loop_tpcb_groups_commits_without_shedding() {
     // Open-loop storm at the highest ladder rung below the knee (the
     // traffic ladder diverges at ~1.0x closed-loop capacity).
     let rate = (0.6 * capacity).max(50.0);
-    let knobs = TrafficKnobs {
+    knobs.traffic = TrafficKnobs {
         rate: Some(rate),
         pattern: ArrivalPattern::Constant,
-        measure: Duration::from_secs(2),
+        soak: Some(Duration::from_secs(2)),
         queue_cap: 4096,
         workers: WORKERS,
         window_ms: 250,
     };
     let before = w.db.log_stats();
-    let report = storm(
-        &w,
-        "baseline",
-        &knobs,
-        rate,
-        Duration::from_millis(300),
-        false,
-    );
+    let report = storm(&w, "baseline", &knobs, rate, false);
     let after = w.db.log_stats();
     let s = &report.summary;
 
     // Nothing given back: the front-end absorbed the offered rate.
     assert_eq!(s.shed, 0, "shed arrivals at {rate:.0}/s");
     assert!(
-        s.final_depth < knobs.queue_cap as u64 / 2,
+        s.final_depth < knobs.traffic.queue_cap as u64 / 2,
         "backlog {} diverging",
         s.final_depth
     );

@@ -7,44 +7,41 @@
 //! capacity and the assertions are about *correct accounting*, not
 //! about squeezing the engine.
 
+use std::path::Path;
 use std::time::Duration;
 
 use sli_harness::traffic::{storm, TrafficKnobs};
-use sli_harness::ExperimentScale;
+use sli_harness::Knobs;
 use sli_traffic::{json, ArrivalPattern};
 
-fn smoke_knobs() -> TrafficKnobs {
-    TrafficKnobs {
-        rate: None,
-        pattern: ArrivalPattern::Constant,
-        measure: Duration::from_secs(2),
-        queue_cap: 1024,
-        workers: 2,
-        window_ms: 250,
+/// Smoke knobs: a 2 s constant-rate storm after a 500 ms warm-up,
+/// emitting its artifact into `dir`.
+fn smoke_knobs(dir: &Path) -> Knobs {
+    Knobs {
+        warmup: Duration::from_millis(500),
+        traffic: TrafficKnobs {
+            rate: None,
+            pattern: ArrivalPattern::Constant,
+            soak: Some(Duration::from_secs(2)),
+            queue_cap: 1024,
+            workers: 2,
+            window_ms: 250,
+        },
+        bench_dir: Some(dir.to_path_buf()),
+        ..Knobs::smoke()
     }
 }
 
 #[test]
 fn storm_sustains_configured_rate_and_emits_valid_artifact() {
     const RATE: f64 = 400.0;
-    let scale = ExperimentScale::smoke();
-    let w = sli_harness::setup::tpcb_workload(&scale, false);
-    let knobs = smoke_knobs();
-
     // Emit into a scratch dir so the artifact path is exercised
-    // end-to-end. This integration test binary holds only this test,
-    // so the env mutation races with nothing.
+    // end-to-end.
     let dir = std::env::temp_dir().join(format!("sli-bench-smoke-{}", std::process::id()));
-    std::env::set_var("SLI_BENCH_DIR", &dir);
+    let knobs = smoke_knobs(&dir);
+    let w = sli_harness::setup::tpcb_workload(&knobs, false);
 
-    let report = storm(
-        &w,
-        "baseline",
-        &knobs,
-        RATE,
-        Duration::from_millis(500),
-        false,
-    );
+    let report = storm(&w, "baseline", &knobs, RATE, false);
     let s = &report.summary;
 
     // Offered load matches the schedule: constant pattern, 2s measure.
@@ -84,7 +81,7 @@ fn storm_sustains_configured_rate_and_emits_valid_artifact() {
 
     // Windows cover the measured phase.
     assert!(
-        report.windows.len() as u64 >= 2_000 / knobs.window_ms,
+        report.windows.len() as u64 >= 2_000 / knobs.traffic.window_ms,
         "expected full window coverage, got {}",
         report.windows.len()
     );

@@ -14,8 +14,7 @@ use crate::txn::ReadEntry;
 pub struct MvccConfig {
     /// Shard count for the version map (rounded up to a power of two).
     pub shards: usize,
-    /// Run a GC pass every this many writer commits. Knob:
-    /// `SLI_MVCC_GC_EVERY` (harness).
+    /// Run a GC pass every this many writer commits.
     pub gc_every: u64,
 }
 

@@ -7,14 +7,14 @@
 //! inspectable after the fact (did backlog diverge gradually or fall
 //! off a cliff? was p99 noisy or flat?), not just its endpoint.
 //!
-//! Emission is gated on the `SLI_BENCH_DIR` environment variable:
-//! unset, empty, or `0` disables it (tests and casual runs stay clean);
-//! any other value names the output directory, created on demand. The
-//! harness binary defaults it to `bench-artifacts/` so `cargo run -p
+//! The caller names the output directory ([`BenchArtifact::emit`]); this
+//! crate reads no environment. The harness takes it from its
+//! `SLI_BENCH_DIR` knob, default `bench-artifacts/`, so `cargo run -p
 //! sli-harness -- traffic` always leaves artifacts behind.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use crate::hist::Hist;
 use crate::json::JsonWriter;
 use crate::telemetry::WindowCore;
 
@@ -122,6 +122,19 @@ impl Summary {
     pub fn completions(&self) -> u64 {
         self.commits + self.user_fails + self.sys_aborts
     }
+
+    /// Fill the latency fields from the run's merged histogram; an empty
+    /// histogram leaves them zero.
+    pub fn set_latency(&mut self, hist: &Hist) {
+        if hist.is_empty() {
+            return;
+        }
+        self.p50_ns = hist.quantile(0.50);
+        self.p95_ns = hist.quantile(0.95);
+        self.p99_ns = hist.quantile(0.99);
+        self.max_ns = hist.max();
+        self.mean_ns = hist.mean();
+    }
 }
 
 /// A complete benchmark artifact, serialized as one JSON document.
@@ -207,13 +220,13 @@ impl BenchArtifact {
         )
     }
 
-    /// Write the artifact into the `SLI_BENCH_DIR` directory, creating
-    /// it if needed. Returns the written path, or `None` when emission
-    /// is disabled. IO errors are reported to stderr, not fatal — a
-    /// full disk should not kill a finished benchmark.
-    pub fn emit(&self) -> Option<PathBuf> {
-        let dir = bench_dir()?;
-        if let Err(e) = std::fs::create_dir_all(&dir) {
+    /// Write the artifact into `dir`, creating it if needed. Returns the
+    /// written path, or `None` when `dir` is `None` (emission disabled).
+    /// IO errors are reported to stderr, not fatal — a full disk should
+    /// not kill a finished benchmark.
+    pub fn emit(&self, dir: Option<&Path>) -> Option<PathBuf> {
+        let dir = dir?;
+        if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("sli-traffic: cannot create {}: {e}", dir.display());
             return None;
         }
@@ -225,16 +238,6 @@ impl BenchArtifact {
                 None
             }
         }
-    }
-}
-
-/// The artifact output directory from `SLI_BENCH_DIR`, or `None` when
-/// emission is disabled (unset, empty, or `0`).
-pub fn bench_dir() -> Option<PathBuf> {
-    // A deployment path, not an engine knob. sli-lint: allow(env)
-    match std::env::var("SLI_BENCH_DIR") {
-        Ok(v) if !v.is_empty() && v != "0" => Some(PathBuf::from(v)),
-        _ => None,
     }
 }
 

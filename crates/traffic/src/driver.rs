@@ -374,13 +374,7 @@ pub fn run_traffic<W: OpenLoopWorkload>(
     s.commits_per_sec = s.commits as f64 / s.measure_secs.max(1e-9);
     s.attempts_per_sec = s.completions() as f64 / s.measure_secs.max(1e-9);
     s.final_depth = queue.depth();
-    if !total_hist.is_empty() {
-        s.p50_ns = total_hist.quantile(0.50);
-        s.p95_ns = total_hist.quantile(0.95);
-        s.p99_ns = total_hist.quantile(0.99);
-        s.max_ns = total_hist.max();
-        s.mean_ns = total_hist.mean();
-    }
+    s.set_latency(&total_hist);
     if let Some(d) = dash {
         d.summary(s);
     }

@@ -35,7 +35,7 @@ pub mod queue;
 pub mod schedule;
 pub mod telemetry;
 
-pub use artifact::{bench_dir, BenchArtifact, Summary, WindowStats};
+pub use artifact::{BenchArtifact, Summary, WindowStats};
 pub use dashboard::Dashboard;
 pub use driver::{run_traffic, OpenLoopWorkload, Phase, TrafficConfig, TrafficReport};
 pub use hist::Hist;

@@ -8,8 +8,17 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sli::engine::{Database, DatabaseConfig, TxnError};
-// CI dials stress duration down through `SLI_STRESS_*` knobs.
-use sli::harness::env_u64;
+
+/// Read a `SLI_STRESS_*` knob (CI dials stress duration down through
+/// them). Panics, naming the variable and its value, when it is set but
+/// not an unsigned integer.
+fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name).map_or(default, |v| {
+        v.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={v:?} is not a valid number"))
+    })
+}
 
 /// Readers, writers, inserters, and deleters all over the same small table:
 /// the worst case for inheritance (constant invalidation traffic). The test

@@ -28,8 +28,9 @@
 //!    cluster it precedes.
 //! 6. **env** — no `std::env::var` in library code. An environment read
 //!    inside the engine is a hidden option that a stray variable turns on
-//!    for any embedder; knobs belong to the harness, benches, tests and
-//!    examples (exempt), which pass them in through config structs.
+//!    for any embedder; knobs belong to the benches, tests and examples
+//!    (exempt) and to the harness, whose library reads them in one
+//!    suppressed place and passes them in through config structs.
 //!
 //! A site can be suppressed with `// sli-lint: allow(<rule>)` on the same
 //! line or the line above — the suppression is itself greppable, so the
@@ -233,21 +234,26 @@ impl fmt::Display for Finding {
 /// How a file is classified for rule exemptions.
 #[derive(Debug, Clone, Copy)]
 struct FileClass {
-    /// Test/bench/example/harness code: exempt from the ordering, sleep
-    /// and env rules (stress tests poll; harness drivers pace phases and
-    /// read the experiment knobs).
+    /// Test/bench/example/harness code: exempt from the ordering and
+    /// sleep rules (stress tests poll; harness drivers pace phases).
     relaxed: bool,
+    /// Test/bench/example code: exempt from the env rule. Harness library
+    /// code is not: it reads its knobs in one suppressed place.
+    env_exempt: bool,
 }
 
 fn classify(rel: &str) -> FileClass {
-    let relaxed = rel.starts_with("tests/")
+    let env_exempt = rel.starts_with("tests/")
         || rel.starts_with("examples/")
         || rel.contains("/tests/")
         || rel.contains("/benches/")
         || rel.contains("/examples/")
-        || rel.contains("crates/harness/")
         || rel.contains("crates/bench/");
-    FileClass { relaxed }
+    let relaxed = env_exempt || rel.contains("crates/harness/");
+    FileClass {
+        relaxed,
+        env_exempt,
+    }
 }
 
 /// Mark every line inside a `#[cfg(test)]`-gated item (or a `#[test]`
@@ -561,7 +567,10 @@ fn analyze(rel: &Path, src: &str, findings: &mut Vec<Finding>) {
         }
 
         // Rule 6: no environment reads in library code.
-        if !test_code && code.contains("env::var") && !suppressed(&lines, idx, Rule::Env) {
+        if !(class.env_exempt || in_test[idx])
+            && code.contains("env::var")
+            && !suppressed(&lines, idx, Rule::Env)
+        {
             findings.push(Finding {
                 file: rel.to_path_buf(),
                 line: lineno,
@@ -851,12 +860,26 @@ mod tests {
         let bad = "fn f() -> Option<String> { std::env::var(\"KNOB\").ok() }\n";
         assert_eq!(run("crates/x/src/lib.rs", bad), ["env"]);
         assert_eq!(run("vendor/parking_lot/src/lib.rs", bad), ["env"]);
-        assert!(run("crates/harness/src/setup.rs", bad).is_empty());
+        assert!(run("crates/harness/tests/stress.rs", bad).is_empty());
+        assert!(run("crates/harness/examples/diag.rs", bad).is_empty());
         assert!(run("crates/bench/benches/micro.rs", bad).is_empty());
         assert!(run("tests/stress.rs", bad).is_empty());
         assert!(run("examples/demo.rs", bad).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { std::env::var(\"X\"); }\n}\n";
         assert!(run("crates/x/src/lib.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn env_read_is_banned_in_harness_lib_code() {
+        let bad = "fn f() -> Option<String> { std::env::var(\"KNOB\").ok() }\n";
+        assert_eq!(run("crates/harness/src/setup.rs", bad), ["env"]);
+        assert_eq!(run("crates/harness/src/main.rs", bad), ["env"]);
+        let allowed = "// The front door. sli-lint: allow(env)\n\
+                       fn f() -> Option<String> { std::env::var(\"KNOB\").ok() }\n";
+        assert!(run("crates/harness/src/setup.rs", allowed).is_empty());
+        // The harness keeps its ordering and sleep exemptions.
+        let sleepy = "fn f() { std::thread::sleep(D); }\n";
+        assert!(run("crates/harness/src/driver.rs", sleepy).is_empty());
     }
 
     #[test]
