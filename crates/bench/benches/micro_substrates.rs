@@ -92,8 +92,9 @@ fn bench_storage(c: &mut Criterion) {
 }
 
 fn bench_engine_ops(c: &mut Criterion) {
-    let db =
-        Database::open(DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory());
+    let db = Database::open(DatabaseConfig::with_policy(
+        sli_engine::PolicyKind::PaperSli,
+    ));
     let t = db.create_table("bench").unwrap();
     for k in 0..10_000u64 {
         db.bulk_insert(t, k, None, &k.to_le_bytes());

@@ -7,25 +7,22 @@ use crate::policy::PolicyKind;
 
 /// Tuning knobs for Speculative Lock Inheritance.
 ///
-/// The defaults implement exactly the paper's five criteria (Section 4.2);
-/// the boolean overrides exist for the `ablation-criteria` experiment, which
-/// disables one criterion at a time. SLI itself is switched off by
+/// The defaults implement exactly the paper's five criteria (Section 4.2).
+/// Every field is kept for the harness's `ablation-criteria` experiment,
+/// which relaxes criteria 1, 2, 4 and 5 one at a time and tries
+/// hysteresis, and `bimodal`, which sweeps hysteresis. Criterion 3 (a
+/// shared mode) is always enforced, the hot window is the last 16
+/// acquisitions, and a commit passes on at most
+/// `MAX_INHERITED_PER_TXN` (64) locks. SLI itself is switched off by
 /// choosing [`PolicyKind::Baseline`], not here.
 #[derive(Clone, Debug)]
 pub struct SliConfig {
-    /// Criterion 2: a lock is "hot" when at least this fraction of the most
-    /// recent [`SliConfig::hot_window`] latch acquisitions on its lock head
-    /// contended. The paper calls this "a tunable threshold".
+    /// Criterion 2: a lock is "hot" when at least this fraction of the 16
+    /// most recent latch acquisitions on its lock head contended. The
+    /// paper calls this "a tunable threshold".
     pub hot_threshold: f64,
-    /// Size of the hot-tracking shift register, in acquisitions (max 16).
-    pub hot_window: u32,
     /// Criterion 1: only inherit locks at this level or coarser.
     pub min_level: LockLevel,
-    /// Criterion 3: require a shared mode (S/IS/IX). Disabling this is
-    /// unsafe for consistency and exists only to demonstrate *why* the
-    /// criterion exists; the ablation harness uses read-only workloads with
-    /// it.
-    pub require_shared_mode: bool,
     /// Criterion 4: skip inheritance when another transaction waits on the
     /// lock.
     pub require_no_waiters: bool,
@@ -35,22 +32,16 @@ pub struct SliConfig {
     /// consecutive unused generations before giving up (0 = drop immediately
     /// after one unused pass, the paper's default "do nothing" behaviour).
     pub hysteresis: u32,
-    /// Cap on how many locks a single commit may pass on. Bounds the size of
-    /// agent inherited lists in pathological workloads.
-    pub max_inherited_per_txn: usize,
 }
 
 impl Default for SliConfig {
     fn default() -> Self {
         SliConfig {
             hot_threshold: 0.25,
-            hot_window: 16,
             min_level: LockLevel::Page,
-            require_shared_mode: true,
             require_no_waiters: true,
             require_parent: true,
             hysteresis: 0,
-            max_inherited_per_txn: 64,
         }
     }
 }
@@ -103,25 +94,21 @@ impl FastPathConfig {
 /// Deadlocks are detected Dreadlocks-style (Shore-MT's approach): waiting
 /// threads publish the set of agents they transitively wait on, and a
 /// thread that finds itself in its own digest aborts. `lock_timeout` is
-/// the safety net behind it.
+/// the safety net behind it. The lock table has 4096 buckets and a
+/// blocked thread re-checks for deadlocks every 500 µs.
 #[derive(Clone, Debug)]
 pub struct LockManagerConfig {
-    /// Number of hash buckets in the lock table (rounded up to a power of
-    /// two).
-    pub buckets: usize,
     /// Upper bound on concurrently registered agent threads (sizes the
     /// deadlock digest table and the per-agent `LockStats` shards, 256 B
     /// each).
     pub max_agents: usize,
     /// Give up on a lock wait after this long.
     pub lock_timeout: Duration,
-    /// How often a blocked thread wakes to run deadlock checks.
-    pub deadlock_poll: Duration,
     /// SLI tuning knobs, consulted under [`PolicyKind::PaperSli`].
     pub sli: SliConfig,
     /// Whether commits pass hot locks on (SLI) or release everything.
     pub policy: PolicyKind,
-    /// Capacity of each agent's [`LockRequest`] free pool (0 disables
+    /// Capacity of each agent's [`LockRequest`](crate::LockRequest) free pool (0 disables
     /// pooling). A warm pool makes the steady-state uncontended acquire
     /// path allocation-free.
     pub request_pool_cap: usize,
@@ -132,10 +119,8 @@ pub struct LockManagerConfig {
 impl Default for LockManagerConfig {
     fn default() -> Self {
         LockManagerConfig {
-            buckets: 4096,
             max_agents: 256,
             lock_timeout: Duration::from_secs(2),
-            deadlock_poll: Duration::from_micros(500),
             sli: SliConfig::default(),
             policy: PolicyKind::default(),
             request_pool_cap: crate::sli::DEFAULT_REQUEST_POOL_CAP,
@@ -174,7 +159,6 @@ mod tests {
     fn defaults_encode_paper_criteria() {
         let c = SliConfig::default();
         assert_eq!(c.min_level, LockLevel::Page);
-        assert!(c.require_shared_mode);
         assert!(c.require_no_waiters);
         assert!(c.require_parent);
         assert_eq!(c.hysteresis, 0);
@@ -193,6 +177,6 @@ mod tests {
             .lock_timeout(Duration::from_millis(10));
         assert_eq!(cfg.policy, PolicyKind::Baseline);
         assert_eq!(cfg.lock_timeout, Duration::from_millis(10));
-        assert_eq!(cfg.buckets, LockManagerConfig::default().buckets);
+        assert_eq!(cfg.max_agents, LockManagerConfig::default().max_agents);
     }
 }

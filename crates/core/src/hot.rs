@@ -18,7 +18,8 @@ pub struct HotTracker {
     state: AtomicU32,
 }
 
-const WINDOW_MAX: u32 = 16;
+/// Window size in acquisitions: the width of the shift register.
+const WINDOW: u32 = 16;
 const COUNT_SHIFT: u32 = 16;
 
 impl HotTracker {
@@ -37,42 +38,29 @@ impl HotTracker {
         // (see above); no other memory is published through it.
         let cur = self.state.load(Ordering::Relaxed);
         let bits = (cur & 0xFFFF) << 1 | contended as u32;
-        let count = ((cur >> COUNT_SHIFT) + 1).min(WINDOW_MAX);
+        let count = ((cur >> COUNT_SHIFT) + 1).min(WINDOW);
         // ordering: relaxed lossy heuristic (see above).
         self.state
             .store((count << COUNT_SHIFT) | (bits & 0xFFFF), Ordering::Relaxed);
     }
 
-    /// Fraction of the last `window` acquisitions that contended, in
-    /// `[0, 1]`. Returns 0 until at least `window` samples accumulated.
+    /// Fraction of the last 16 acquisitions that contended, in `[0, 1]`.
+    /// Returns 0 until 16 samples accumulated.
     #[inline]
-    pub fn ratio(&self, window: u32) -> f64 {
-        let window = window.clamp(1, WINDOW_MAX);
+    pub fn ratio(&self) -> f64 {
         // ordering: relaxed read of the lossy heuristic window.
         let cur = self.state.load(Ordering::Relaxed);
-        let count = cur >> COUNT_SHIFT;
-        if count < window {
+        if cur >> COUNT_SHIFT < WINDOW {
             return 0.0;
         }
-        let mask = if window == 32 {
-            u32::MAX
-        } else {
-            (1 << window) - 1
-        };
-        let set = (cur & 0xFFFF & mask).count_ones();
-        set as f64 / window as f64
+        (cur & 0xFFFF).count_ones() as f64 / WINDOW as f64
     }
 
-    /// Whether the lock qualifies as hot for the given SLI settings.
+    /// Whether at least `threshold` of the window contended (SLI's
+    /// criterion 2).
     #[inline]
-    pub fn is_hot(&self, threshold: f64, window: u32) -> bool {
-        self.ratio(window) >= threshold
-    }
-
-    /// Reset the window (used by tests and the roving-hotspot experiment).
-    pub fn clear(&self) {
-        // ordering: relaxed reset of the lossy heuristic window.
-        self.state.store(0, Ordering::Relaxed);
+    pub fn is_hot(&self, threshold: f64) -> bool {
+        self.ratio() >= threshold
     }
 }
 
@@ -86,9 +74,9 @@ mod tests {
         for _ in 0..15 {
             t.record(true);
         }
-        assert_eq!(t.ratio(16), 0.0, "window not yet full");
+        assert_eq!(t.ratio(), 0.0, "window not yet full");
         t.record(true);
-        assert_eq!(t.ratio(16), 1.0);
+        assert_eq!(t.ratio(), 1.0);
     }
 
     #[test]
@@ -97,11 +85,11 @@ mod tests {
         for _ in 0..16 {
             t.record(false);
         }
-        assert_eq!(t.ratio(16), 0.0);
+        assert_eq!(t.ratio(), 0.0);
         for _ in 0..8 {
             t.record(true);
         }
-        assert!((t.ratio(16) - 0.5).abs() < 1e-9);
+        assert!((t.ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -110,37 +98,14 @@ mod tests {
         for _ in 0..16 {
             t.record(true);
         }
-        assert!(t.is_hot(0.5, 16));
+        assert!(t.is_hot(0.5));
         // A long quiet spell cools the lock back down: "SLI has a short
         // memory" (Section 4.4).
         for _ in 0..16 {
             t.record(false);
         }
-        assert!(!t.is_hot(0.1, 16));
-        assert_eq!(t.ratio(16), 0.0);
-    }
-
-    #[test]
-    fn smaller_windows_react_faster() {
-        let t = HotTracker::new();
-        for _ in 0..16 {
-            t.record(false);
-        }
-        for _ in 0..4 {
-            t.record(true);
-        }
-        assert_eq!(t.ratio(4), 1.0);
-        assert!(t.ratio(16) < 0.5);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let t = HotTracker::new();
-        for _ in 0..16 {
-            t.record(true);
-        }
-        t.clear();
-        assert_eq!(t.ratio(16), 0.0);
+        assert!(!t.is_hot(0.1));
+        assert_eq!(t.ratio(), 0.0);
     }
 
     #[test]
@@ -149,7 +114,7 @@ mod tests {
         for i in 0..16 {
             t.record(i % 4 == 0); // 4/16 = 0.25
         }
-        assert!(t.is_hot(0.25, 16));
-        assert!(!t.is_hot(0.26, 16));
+        assert!(t.is_hot(0.25));
+        assert!(!t.is_hot(0.26));
     }
 }

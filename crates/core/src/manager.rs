@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sli_profiler::{Category, Component};
 
@@ -27,6 +27,12 @@ use crate::stats::{AgentStats, LockClass, LockStats};
 use crate::txn::{Entry, TxnLockState};
 use crate::word::FastAcquire;
 
+/// Hash buckets in the lock table (a power of two).
+const LOCK_TABLE_BUCKETS: usize = 4096;
+
+/// How often a blocked thread wakes to run deadlock checks.
+const DEADLOCK_POLL: Duration = Duration::from_micros(500);
+
 /// The centralized lock manager.
 pub struct LockManager {
     config: LockManagerConfig,
@@ -42,7 +48,7 @@ pub struct LockManager {
 impl LockManager {
     /// Create a lock manager.
     pub fn new(config: LockManagerConfig) -> Arc<Self> {
-        let table = LockTable::new(config.buckets);
+        let table = LockTable::new(LOCK_TABLE_BUCKETS);
         let digests = DigestTable::new(config.max_agents);
         let stats = LockStats::sharded(config.max_agents);
         Arc::new(LockManager {
@@ -127,7 +133,7 @@ impl LockManager {
         // Validate coarse-to-fine so each child can consult its parent.
         agent.inherited.sort_by_key(|(r, _)| r.lock_id().level());
         let entries = std::mem::take(&mut agent.inherited);
-        // Hand-off lists are small (<= max_inherited_per_txn); a linear
+        // Hand-off lists are small (<= MAX_INHERITED_PER_TXN); a linear
         // scan beats hashing on this hot path.
         let mut valid: Vec<(LockId, bool)> = Vec::with_capacity(entries.len());
         for (req, head) in entries {
@@ -572,7 +578,7 @@ impl LockManager {
         // One digest allocation per blocked wait, reused across polls.
         let mut digest = self.digests.make_set();
         loop {
-            let st = req.wait_for_grant(self.config.deadlock_poll, deadline);
+            let st = req.wait_for_grant(DEADLOCK_POLL, deadline);
             if st == RequestStatus::Granted {
                 self.digests.clear(slot);
                 return Ok(());
@@ -829,7 +835,7 @@ impl LockManager {
         inherited: bool,
     ) {
         let sli_cfg = &self.config.sli;
-        let hot = head.hot().is_hot(sli_cfg.hot_threshold, sli_cfg.hot_window);
+        let hot = head.hot().is_hot(sli_cfg.hot_threshold);
         let class = if hot {
             let heritable = id.level() <= sli_cfg.min_level
                 && mode.is_shared_for_sli()
@@ -943,7 +949,6 @@ mod tests {
         };
         let mut cfg = LockManagerConfig::with_policy(kind);
         cfg.lock_timeout = Duration::from_millis(500);
-        cfg.deadlock_poll = Duration::from_micros(200);
         LockManager::new(cfg)
     }
 
@@ -959,7 +964,6 @@ mod tests {
         };
         let mut cfg = LockManagerConfig::with_policy(kind);
         cfg.lock_timeout = Duration::from_millis(500);
-        cfg.deadlock_poll = Duration::from_micros(200);
         cfg.fastpath = crate::config::FastPathConfig::disabled();
         LockManager::new(cfg)
     }
@@ -1014,7 +1018,7 @@ mod tests {
         m.end_txn(&mut ts, &mut agent, true);
         let first = m.head(page).expect("page head retained after commit");
         let sli = &m.config().sli;
-        assert!(first.hot().is_hot(sli.hot_threshold, sli.hot_window));
+        assert!(first.hot().is_hot(sli.hot_threshold));
         m.begin(&mut ts, &mut agent);
         m.lock(&mut ts, &mut agent, rec(1, 0, 1), LockMode::S)
             .unwrap();
@@ -1023,7 +1027,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second), "same head across txns");
         // One uncontended latched sample shifted in: still hot at the
         // default threshold.
-        assert!(second.hot().is_hot(sli.hot_threshold, sli.hot_window));
+        assert!(second.hot().is_hot(sli.hot_threshold));
         assert!(!second.grant_word().is_zombie());
         m.retire_agent(&mut agent);
     }
@@ -1352,7 +1356,6 @@ mod tests {
         // hang for 10 s and then fail the Deadlock match below.
         let mut cfg = LockManagerConfig::with_policy(crate::PolicyKind::Baseline);
         cfg.lock_timeout = Duration::from_secs(10);
-        cfg.deadlock_poll = Duration::from_micros(200);
         // Make the S acquire deterministically fast (no heat-sampling
         // fall-through to the latched path).
         cfg.fastpath.sample_every = 0;
@@ -1790,7 +1793,6 @@ mod tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
-    use crate::config::SliConfig;
     use crate::id::TableId;
 
     fn rec(t: u32, s: u16) -> LockId {
@@ -1855,15 +1857,15 @@ mod policy_tests {
 
     #[test]
     fn max_inherited_per_txn_caps_the_hand_off() {
-        let mut cfg = LockManagerConfig::default();
-        cfg.sli.max_inherited_per_txn = 2;
-        cfg.fastpath = crate::config::FastPathConfig::disabled();
-        let m = LockManager::new(cfg);
+        let m = LockManager::new(LockManagerConfig {
+            fastpath: crate::config::FastPathConfig::disabled(),
+            ..LockManagerConfig::default()
+        });
         let mut agent = m.register_agent().unwrap();
         let mut ts = TxnLockState::new(agent.slot());
         m.begin(&mut ts, &mut agent);
-        // Touch 4 pages of one table: candidates = db, table, 4 pages.
-        for p in 0..4u32 {
+        // Touch 70 pages of one table: candidates = db, table, 70 pages.
+        for p in 0..70u32 {
             m.lock(
                 &mut ts,
                 &mut agent,
@@ -1876,7 +1878,7 @@ mod policy_tests {
         heat(&m, LockId::Database);
         heat(&m, LockId::Table(TableId(1)));
         m.end_txn(&mut ts, &mut agent, true);
-        assert_eq!(agent.inherited_count(), 2, "cap respected");
+        assert_eq!(agent.inherited_count(), 64, "cap respected");
         m.retire_agent(&mut agent);
     }
 
@@ -1904,12 +1906,6 @@ mod policy_tests {
         m.end_txn(&mut ts, &mut agent, true);
         assert_eq!(m.quiescent_heads(), Ok(3));
         m.retire_agent(&mut agent);
-    }
-
-    #[test]
-    fn sli_config_default_consistency() {
-        let c = SliConfig::default();
-        assert!(c.hot_window <= 16, "window must fit the shift register");
     }
 
     #[test]

@@ -57,15 +57,19 @@ impl PolicyKind {
     }
 }
 
+/// Cap on how many locks a single commit may pass on. Bounds the size of
+/// agent inherited lists in pathological workloads.
+pub(crate) const MAX_INHERITED_PER_TXN: usize = 64;
+
 /// Select the inheritance candidates among a committing transaction's held
 /// locks (acquisition order, so parents precede children). Returns one
 /// decision per lock.
 ///
 /// Parents are decided before children so criterion 5 can consult the
-/// parent's decision, and [`SliConfig::max_inherited_per_txn`] caps the
-/// hand-off in acquisition order. Only page-or-higher locks enter the
-/// decided index — keeping records out keeps the scan short even for
-/// thousand-lock transactions. Grant-word holds have no `LockRequest` to
+/// parent's decision, and [`MAX_INHERITED_PER_TXN`] caps the hand-off in
+/// acquisition order. Only page-or-higher locks enter the decided index —
+/// keeping records out keeps the scan short even for thousand-lock
+/// transactions. Grant-word holds have no `LockRequest` to
 /// park on the agent, so they are never candidates; a queued request must
 /// be `Granted` (a `Converting` one cannot be passed on).
 pub(crate) fn select_candidates(cfg: &SliConfig, held: &[Entry]) -> Vec<bool> {
@@ -83,7 +87,7 @@ pub(crate) fn select_candidates(cfg: &SliConfig, held: &[Entry]) -> Vec<bool> {
         let grantable =
             matches!(e, Entry::Queued(req, _) if req.status() == RequestStatus::Granted);
         let inherit = grantable
-            && inherited_count < cfg.max_inherited_per_txn
+            && inherited_count < MAX_INHERITED_PER_TXN
             && is_inheritance_candidate(cfg, id, e.mode(), e.head(), parent_ok);
         decisions[i] = inherit;
         if id.level() < LockLevel::Record {
@@ -102,7 +106,7 @@ pub(crate) fn select_candidates(cfg: &SliConfig, held: &[Entry]) -> Vec<bool> {
 /// otherwise release it. Only consulted on commit; aborts always drop
 /// leftovers.
 pub(crate) fn keeps_unused(cfg: &SliConfig, head: &LockHead, unused_generations: u32) -> bool {
-    unused_generations < cfg.hysteresis && head.hot().is_hot(cfg.hot_threshold, cfg.hot_window)
+    unused_generations < cfg.hysteresis && head.hot().is_hot(cfg.hot_threshold)
 }
 
 #[cfg(test)]
@@ -149,7 +153,10 @@ mod tests {
         let db = head_with(LockId::Database, true);
         let t1 = LockId::Table(TableId(1));
         let th = head_with(t1, true);
-        let pages: Vec<(LockId, Arc<LockHead>)> = (0..4u32)
+        // 70 hot pages: with the database and table locks that is 72
+        // candidates, and the cap hands off the first 64 in acquisition
+        // order.
+        let pages: Vec<(LockId, Arc<LockHead>)> = (0..70u32)
             .map(|p| {
                 let id = LockId::Page(TableId(1), p);
                 (id, head_with(id, true))
@@ -162,12 +169,13 @@ mod tests {
         for (id, h) in &pages {
             locks.push(held(*id, LockMode::S, h));
         }
-        let cfg = SliConfig {
-            max_inherited_per_txn: 3,
-            ..SliConfig::default()
-        };
-        let d = select_candidates(&cfg, &locks);
-        assert_eq!(d, vec![true, true, true, false, false, false], "cap at 3");
+        let d = select_candidates(&SliConfig::default(), &locks);
+        assert_eq!(d.len(), 72);
+        assert!(
+            d[..MAX_INHERITED_PER_TXN].iter().all(|&i| i),
+            "first 64 pass"
+        );
+        assert!(d[MAX_INHERITED_PER_TXN..].iter().all(|&i| !i), "cap at 64");
 
         // A cold parent vetoes its children (criterion 5) even when the
         // children are hot.
@@ -188,18 +196,23 @@ mod tests {
     #[test]
     fn paper_sli_heats_on_either_signal() {
         let t1 = LockId::Table(TableId(1));
-        // Alone on an uncontended head: a cold sample.
+        // A full window of samples per case: the ratio reads 0 until the
+        // window fills.
+        let observe_window = |head: &LockHead, me: u32| {
+            for _ in 0..16 {
+                drop(head.latch_observe(me));
+            }
+            head.hot().ratio()
+        };
+        // Alone on an uncontended head: cold samples.
         let head = LockHead::new(t1);
-        drop(head.latch_observe(0));
-        assert_eq!(head.hot().ratio(1), 0.0);
+        assert_eq!(observe_window(&head, 0), 0.0);
         // Another agent holds a request: the cross-agent-sharing signal.
         head.latch_untracked()
             .push_granted(Arc::new(LockRequest::new_granted(t1, 1, 7, LockMode::IS)));
-        drop(head.latch_observe(0));
-        assert_eq!(head.hot().ratio(1), 1.0);
+        assert_eq!(observe_window(&head, 0), 1.0);
         // Our own request is not sharing.
-        drop(head.latch_observe(1));
-        assert_eq!(head.hot().ratio(1), 0.0);
+        assert_eq!(observe_window(&head, 1), 0.0);
     }
 
     #[test]

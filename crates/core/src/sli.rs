@@ -184,7 +184,7 @@ impl std::fmt::Debug for AgentSliState {
 /// Evaluate the paper's five inheritance criteria (Section 4.2) for one
 /// granted lock at commit time.
 ///
-/// This is the reference predicate behind [`crate::PaperSli`]; it stays a
+/// This is the reference predicate behind [`crate::PolicyKind::PaperSli`]; it stays a
 /// free function so ablation fixtures can probe it directly and so the
 /// policy implementations can be verified against it.
 ///
@@ -192,8 +192,9 @@ impl std::fmt::Debug for AgentSliState {
 ///   inheritance in the same pass (`None` for the hierarchy root).
 ///
 /// Criterion 2 (hotness) is evaluated against the lock head's contention
-/// window; the remaining criteria are structural. Each criterion can be
-/// disabled through [`SliConfig`] for the ablation experiments.
+/// window; the remaining criteria are structural. Every criterion but 3
+/// (a shared mode, which consistency needs) can be relaxed through
+/// [`SliConfig`] for the ablation experiments.
 pub fn is_inheritance_candidate(
     cfg: &SliConfig,
     id: LockId,
@@ -206,11 +207,11 @@ pub fn is_inheritance_candidate(
         return false;
     }
     // 2. "The lock is 'hot' (i.e. contention for the latch protecting it)."
-    if !head.hot().is_hot(cfg.hot_threshold, cfg.hot_window) {
+    if !head.hot().is_hot(cfg.hot_threshold) {
         return false;
     }
     // 3. "The lock is held in a shared mode (e.g. S, IS, IX)."
-    if cfg.require_shared_mode && !mode.is_shared_for_sli() {
+    if !mode.is_shared_for_sli() {
         return false;
     }
     // 4. "No other transaction is waiting on the lock."
@@ -337,17 +338,6 @@ mod tests {
         let tid = LockId::Table(TableId(1));
         let hot = hot_head(tid);
         let cfg = SliConfig {
-            require_shared_mode: false,
-            ..SliConfig::default()
-        };
-        assert!(is_inheritance_candidate(
-            &cfg,
-            tid,
-            LockMode::X,
-            &hot,
-            Some(true)
-        ));
-        let cfg = SliConfig {
             require_parent: false,
             ..SliConfig::default()
         };
@@ -369,6 +359,29 @@ mod tests {
             LockMode::S,
             &hot_head(rid),
             Some(true)
+        ));
+    }
+
+    #[test]
+    fn criterion_3_holds_with_every_other_criterion_relaxed() {
+        let cfg = SliConfig {
+            hot_threshold: 0.0,
+            min_level: crate::id::LockLevel::Record,
+            require_no_waiters: false,
+            require_parent: false,
+            hysteresis: 0,
+        };
+        let tid = LockId::Table(TableId(1));
+        let hot = hot_head(tid);
+        for mode in [LockMode::X, LockMode::SIX] {
+            assert!(!is_inheritance_candidate(&cfg, tid, mode, &hot, None));
+        }
+        assert!(is_inheritance_candidate(
+            &cfg,
+            tid,
+            LockMode::IX,
+            &hot,
+            None
         ));
     }
 

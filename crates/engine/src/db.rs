@@ -7,9 +7,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use sli_core::{LockManager, LockManagerConfig, LockStatsSnapshot, PolicyKind, TableId};
 use sli_mvcc::{MvccConfig, MvccStats, MvccStore, WriteKind, WriteOp};
-use sli_storage::{
-    BufferPool, BufferPoolConfig, BufferPoolStats, HashIndex, HeapTable, OrderedIndex, Rid,
-};
+use sli_storage::{BufferPool, BufferPoolStats, HashIndex, HeapTable, OrderedIndex, Rid};
 use sli_wal::{LogConfig, LogManager, LogRecord, LogStats, Lsn, WalError, LOADER_TXN};
 
 use crate::backend::{log_record, BackendKind};
@@ -45,14 +43,17 @@ impl std::error::Error for EngineError {}
 
 /// Configuration for a [`Database`], built fluently.
 ///
-/// On the locked backend the lock policy is [`PolicyKind::PaperSli`] (the
+/// The database is always main-memory, like the paper's tmpfs-backed
+/// setup: every page is resident and a row access never waits on I/O. On
+/// the locked backend the lock policy is [`PolicyKind::PaperSli`] (the
 /// default) or [`PolicyKind::Baseline`]:
 ///
 /// ```
 /// use sli_engine::{DatabaseConfig, PolicyKind};
 ///
-/// let cfg = DatabaseConfig::with_policy(PolicyKind::Baseline).in_memory();
+/// let cfg = DatabaseConfig::with_policy(PolicyKind::Baseline).durable();
 /// assert!(!cfg.lock.policy.inherits());
+/// assert!(cfg.log.retain);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DatabaseConfig {
@@ -60,8 +61,6 @@ pub struct DatabaseConfig {
     pub lock: LockManagerConfig,
     /// WAL settings.
     pub log: LogConfig,
-    /// Buffer-pool residency simulation.
-    pub pool: BufferPoolConfig,
     /// Synthetic per-row-access CPU cost in nanoseconds, charged to the
     /// storage component. Stands in for the heavier per-row path of the
     /// original engine (B-tree descent, slot directory, page pin/unpin)
@@ -72,9 +71,6 @@ pub struct DatabaseConfig {
     /// Which concurrency-control engine to run transactions on
     /// (default: the hierarchical lock manager).
     pub backend: BackendKind,
-    /// MVCC store tuning (only used when `backend` is
-    /// [`BackendKind::Mvcc`]).
-    pub mvcc: MvccConfig,
 }
 
 impl DatabaseConfig {
@@ -86,12 +82,9 @@ impl DatabaseConfig {
         }
     }
 
-    /// In-memory setup: no I/O penalties anywhere (the paper's NDBB
-    /// configuration). Resets the log config — call [`Self::durable`]
-    /// *after* this when combining the two.
-    pub fn in_memory(mut self) -> Self {
-        self.pool = BufferPoolConfig::all_in_memory();
-        self.log = LogConfig::default();
+    /// Returns the config unchanged: every database is already in memory.
+    /// Kept only because the repository benchmark still chains it.
+    pub fn in_memory(self) -> Self {
         self
     }
 
@@ -104,7 +97,9 @@ impl DatabaseConfig {
     /// Builder: retain the log's durable bytes in a simulated device so
     /// the database can be recovered from them (see
     /// [`Database::recover`]). Off by default — retention copies every
-    /// flushed batch, which perf experiments don't want to pay.
+    /// flushed batch, which perf experiments don't want to pay. Touches
+    /// only `log.retain`, so it combines with the other builders in any
+    /// order.
     pub fn durable(mut self) -> Self {
         self.log.retain = true;
         self
@@ -155,7 +150,7 @@ impl TableHandle {
 pub struct Database {
     pub(crate) lockmgr: Arc<LockManager>,
     pub(crate) log: Arc<LogManager>,
-    pub(crate) pool: Arc<BufferPool>,
+    pub(crate) pool: BufferPool,
     pub(crate) row_work_ns: u64,
     /// The MVCC backend's shared store; `None` on the locked backend.
     pub(crate) mvcc: Option<Arc<MvccStore>>,
@@ -175,11 +170,11 @@ impl Database {
     /// sequence past the old tail).
     pub(crate) fn open_with_log(config: DatabaseConfig, log: LogManager) -> Arc<Database> {
         let mvcc = (config.backend == BackendKind::Mvcc)
-            .then(|| Arc::new(MvccStore::new(config.lock.max_agents, config.mvcc)));
+            .then(|| Arc::new(MvccStore::new(config.lock.max_agents, MvccConfig)));
         Arc::new(Database {
             lockmgr: LockManager::new(config.lock),
             log: Arc::new(log),
-            pool: Arc::new(BufferPool::new(config.pool)),
+            pool: BufferPool::new(),
             row_work_ns: config.row_work_ns,
             mvcc,
             catalog: RwLock::new(HashMap::new()),
@@ -266,7 +261,6 @@ impl Database {
         let bytes = Bytes::copy_from_slice(data);
         let rid = t.heap.insert(bytes.clone());
         t.index_insert(key, ordered_key, rid);
-        self.pool.prewarm(table.0, rid.page);
         if self.log.retains() {
             let kind = WriteKind::Insert {
                 key,
@@ -367,7 +361,8 @@ impl Database {
         self.log.durable_snapshot()
     }
 
-    /// Buffer-pool counter snapshot.
+    /// Buffer-pool counter snapshot: one hit per row access, no misses or
+    /// evictions (every page is resident).
     pub fn pool_stats(&self) -> BufferPoolStats {
         self.pool.stats()
     }

@@ -44,8 +44,8 @@ pub use sli_core::{
     LockId, LockLevel, LockManagerConfig, LockMode, LockStatsSnapshot, PolicyKind, SliConfig,
     TableId,
 };
-pub use sli_mvcc::{MvccConfig, MvccStats};
-pub use sli_storage::{BufferPoolConfig, BufferPoolStats, Rid};
+pub use sli_mvcc::MvccStats;
+pub use sli_storage::{BufferPoolStats, Rid};
 pub use sli_wal::{
     DecodeEnd, FaultPlan, LogConfig, LogStats, RecoveryError, RecoveryReport, WalError,
 };

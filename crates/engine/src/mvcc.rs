@@ -237,11 +237,7 @@ mod tests {
     /// still applying its cold rows, and its stale hot value lands last.
     #[test]
     fn heap_keeps_the_newest_commit_under_concurrent_writers() {
-        let db = Database::open(
-            DatabaseConfig::default()
-                .backend(BackendKind::Mvcc)
-                .in_memory(),
-        );
+        let db = Database::open(DatabaseConfig::default().backend(BackendKind::Mvcc));
         let t = db.create_table("t").unwrap();
         for k in 0..HOT_ROWS + COLD_ROWS {
             db.bulk_insert(t, k, None, &0u64.to_le_bytes());

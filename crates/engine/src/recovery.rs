@@ -219,7 +219,7 @@ mod tests {
     use sli_wal::{DecodeEnd, WalError};
 
     fn durable_db() -> Arc<Database> {
-        Database::open(DatabaseConfig::default().in_memory().durable())
+        Database::open(DatabaseConfig::default().durable())
     }
 
     #[test]
@@ -239,9 +239,8 @@ mod tests {
         .unwrap();
         let before = db.state_hash();
 
-        let (rec, report) =
-            Database::recover(DatabaseConfig::default().in_memory(), &db.durable_log())
-                .expect("clean log recovers");
+        let (rec, report) = Database::recover(DatabaseConfig::default(), &db.durable_log())
+            .expect("clean log recovers");
         assert_eq!(report.winners, 1);
         assert_eq!(report.undone, 0);
         assert_eq!(report.tables_created, 1);
@@ -271,7 +270,7 @@ mod tests {
         db.force_log().unwrap();
 
         let (rec, report) =
-            Database::recover(DatabaseConfig::default().in_memory(), &db.durable_log()).unwrap();
+            Database::recover(DatabaseConfig::default(), &db.durable_log()).unwrap();
         assert_eq!(report.undone, 1);
         assert_eq!(report.undo_applied, 2);
         let rt = rec.table_handle("t").unwrap();
@@ -285,8 +284,7 @@ mod tests {
         // Fixpoint: recovering the recovered log is pure redo.
         let log2 = rec.durable_log();
         let hash1 = rec.state_hash();
-        let (rec2, report2) =
-            Database::recover(DatabaseConfig::default().in_memory(), &log2).unwrap();
+        let (rec2, report2) = Database::recover(DatabaseConfig::default(), &log2).unwrap();
         assert_eq!(report2.undone, 0);
         assert_eq!(report2.end, DecodeEnd::Clean);
         assert_eq!(rec2.state_hash(), hash1, "second recovery changes nothing");
@@ -308,7 +306,7 @@ mod tests {
         LogRecord::insert(sli_wal::LOADER_TXN, t.0, 0, 1, 2, None, b"torn-away").encode(&mut extra);
         log.extend_from_slice(&extra[..extra.len() - 3]);
 
-        let (rec, report) = Database::recover(DatabaseConfig::default().in_memory(), &log).unwrap();
+        let (rec, report) = Database::recover(DatabaseConfig::default(), &log).unwrap();
         assert_eq!(report.consumed, whole);
         assert_eq!(report.end, DecodeEnd::Torn { missing: 3 });
         let rt = rec.table_handle("t").unwrap();
@@ -332,7 +330,7 @@ mod tests {
         let mut log = db.durable_log();
         // Flip one bit inside the second batch.
         log[mark + 10] ^= 0x40;
-        let (rec, report) = Database::recover(DatabaseConfig::default().in_memory(), &log).unwrap();
+        let (rec, report) = Database::recover(DatabaseConfig::default(), &log).unwrap();
         assert_eq!(report.end, DecodeEnd::Corrupt);
         assert_eq!(report.consumed, mark);
         let rt = rec.table_handle("t").unwrap();
@@ -345,7 +343,7 @@ mod tests {
         // A commit whose flush failed was never acknowledged; whether it
         // survives depends only on what reached the device — here the
         // batch was dropped entirely, so recovery must undo or omit it.
-        let mut cfg = DatabaseConfig::default().in_memory().durable();
+        let mut cfg = DatabaseConfig::default().durable();
         cfg.log.fault = FaultPlan::fail_nth(2, 1_000_000);
         let db = Database::open(cfg);
         let t = db.create_table("t").unwrap();
@@ -364,7 +362,7 @@ mod tests {
         ));
 
         let (rec, report) =
-            Database::recover(DatabaseConfig::default().in_memory(), &db.durable_log()).unwrap();
+            Database::recover(DatabaseConfig::default(), &db.durable_log()).unwrap();
         // The whole batch (Begin/Update/Commit) was dropped: nothing of
         // the unacked transaction exists, base data is intact.
         assert_eq!(report.winners, 0);
@@ -486,7 +484,7 @@ mod tests {
             assert_eq!(*comp, invert(fwd));
         }
 
-        let (rec, report) = Database::recover(DatabaseConfig::default().in_memory(), &log).unwrap();
+        let (rec, report) = Database::recover(DatabaseConfig::default(), &log).unwrap();
         assert_eq!(report.undone, 0, "the aborted txn is settled by redo");
         assert_eq!(
             rec.state_hash(),
@@ -507,7 +505,7 @@ mod tests {
         })
         .unwrap();
         let (rec, report) =
-            Database::recover(DatabaseConfig::default().in_memory(), &db.durable_log()).unwrap();
+            Database::recover(DatabaseConfig::default(), &db.durable_log()).unwrap();
         // New work on the recovered database, then recover *that* log:
         // the new transaction's id must not collide with a replayed one.
         let rt = rec.table_handle("t").unwrap();
@@ -518,7 +516,7 @@ mod tests {
         })
         .unwrap();
         let (rec2, report2) =
-            Database::recover(DatabaseConfig::default().in_memory(), &rec.durable_log()).unwrap();
+            Database::recover(DatabaseConfig::default(), &rec.durable_log()).unwrap();
         assert!(report2.max_txn > report.max_txn, "txn floor advanced");
         assert_eq!(
             &rec2.peek(rec2.table_handle("t").unwrap(), 1).unwrap()[..],

@@ -387,7 +387,7 @@ impl Txn<'_> {
     fn touch(&mut self, table: TableHandle, rid: Rid, mode: LockMode) -> Result<(), TxnError> {
         let id = LockId::Record(table.table_id(), rid.page, rid.slot);
         self.backend.lock(self.db, self.agent, id, mode)?;
-        self.db.pool.access(table.0, rid.page);
+        self.db.pool.access();
         row_work(self.db);
         Ok(())
     }
@@ -441,15 +441,11 @@ mod tests {
     use crate::db::DatabaseConfig;
 
     fn db() -> Arc<Database> {
-        Database::open(DatabaseConfig::with_policy(sli_core::PolicyKind::PaperSli).in_memory())
+        Database::open(DatabaseConfig::with_policy(sli_core::PolicyKind::PaperSli))
     }
 
     fn mvcc_db() -> Arc<Database> {
-        Database::open(
-            DatabaseConfig::default()
-                .backend(BackendKind::Mvcc)
-                .in_memory(),
-        )
+        Database::open(DatabaseConfig::default().backend(BackendKind::Mvcc))
     }
 
     #[test]
@@ -582,7 +578,7 @@ mod tests {
     #[test]
     fn sessions_inherit_locks_across_transactions() {
         // Inheritance needs queued acquisitions: grant-word fast path off.
-        let mut cfg = DatabaseConfig::with_policy(sli_core::PolicyKind::PaperSli).in_memory();
+        let mut cfg = DatabaseConfig::with_policy(sli_core::PolicyKind::PaperSli);
         cfg.lock.fastpath = sli_core::FastPathConfig::disabled();
         let db = Database::open(cfg);
         let t = db.create_table("t").unwrap();

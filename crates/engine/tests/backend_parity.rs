@@ -16,7 +16,7 @@ use std::sync::{Arc, Barrier};
 use sli_engine::{BackendKind, Database, DatabaseConfig, TxnError};
 
 fn open(kind: BackendKind) -> Arc<Database> {
-    Database::open(DatabaseConfig::default().backend(kind).in_memory())
+    Database::open(DatabaseConfig::default().backend(kind))
 }
 
 /// The deterministic schedule: build a keyed+ordered table, rewrite part

@@ -12,15 +12,12 @@ fn durable_mvcc() -> Arc<Database> {
     Database::open(
         DatabaseConfig::default()
             .backend(BackendKind::Mvcc)
-            .in_memory()
             .durable(),
     )
 }
 
 fn mvcc_cfg() -> DatabaseConfig {
-    DatabaseConfig::default()
-        .backend(BackendKind::Mvcc)
-        .in_memory()
+    DatabaseConfig::default().backend(BackendKind::Mvcc)
 }
 
 /// Commit a few transactions (insert, update, delete) against `db`.
@@ -112,13 +109,13 @@ fn the_log_is_backend_agnostic() {
     let mvcc = durable_mvcc();
     build(&mvcc);
     mvcc.force_log().unwrap();
-    let locked = Database::open(DatabaseConfig::default().in_memory().durable());
+    let locked = Database::open(DatabaseConfig::default().durable());
     build(&locked);
     locked.force_log().unwrap();
 
     let mut hashes = Vec::new();
     for log in [mvcc.durable_log(), locked.durable_log()] {
-        for cfg in [mvcc_cfg(), DatabaseConfig::default().in_memory()] {
+        for cfg in [mvcc_cfg(), DatabaseConfig::default()] {
             let (rec, report) = Database::recover(cfg, &log).unwrap();
             assert_eq!(report.end, DecodeEnd::Clean);
             hashes.push(rec.state_hash());

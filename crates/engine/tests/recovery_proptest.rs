@@ -35,7 +35,7 @@ fn arb_txn() -> impl Strategy<Value = (Vec<Op>, bool)> {
 /// return it. Lock failures can't happen (single session); NotFound is
 /// absorbed by mapping ops onto insert-or-update / delete-if-present.
 fn build(txns: &[(Vec<Op>, bool)]) -> std::sync::Arc<Database> {
-    let db = Database::open(DatabaseConfig::default().in_memory().durable());
+    let db = Database::open(DatabaseConfig::default().durable());
     let t = db.create_table("t").unwrap();
     for k in 0..8u64 {
         db.bulk_insert(t, k, Some(k), &[k as u8; 4]);
@@ -92,13 +92,13 @@ proptest! {
         let log = db.durable_log();
         let cut = log.len() * cut_sel as usize / 10_000;
 
-        let (rec1, rep1) = Database::recover(DatabaseConfig::default().in_memory(), &log[..cut])
+        let (rec1, rep1) = Database::recover(DatabaseConfig::default(), &log[..cut])
             .expect("recovery never fails structurally");
         prop_assert!(rep1.consumed <= cut);
 
         // Idempotence: recover the recovered log. Pure redo, same state.
         let log2 = rec1.durable_log();
-        let (rec2, rep2) = Database::recover(DatabaseConfig::default().in_memory(), &log2)
+        let (rec2, rep2) = Database::recover(DatabaseConfig::default(), &log2)
             .expect("recovered log recovers");
         prop_assert_eq!(rep2.undone, 0, "second recovery undoes nothing");
         prop_assert_eq!(rep2.end, DecodeEnd::Clean);
@@ -124,7 +124,7 @@ proptest! {
         let db = build(&txns);
         let log = db.durable_log();
         let cut = log.len() * cut_sel as usize / 10_000;
-        let (rec, _) = Database::recover(DatabaseConfig::default().in_memory(), &log[..cut]).unwrap();
+        let (rec, _) = Database::recover(DatabaseConfig::default(), &log[..cut]).unwrap();
         if let Some(t) = rec.table_handle("t") {
             let mut live = 0u64;
             for k in 0..200u64 {
@@ -168,12 +168,11 @@ fn flipped_bits_never_replay_silently() {
         let bit = (state as u8) & 7;
         let mut bad = log.clone();
         bad[idx] ^= 1 << bit;
-        if let Ok((rec, rep)) = Database::recover(DatabaseConfig::default().in_memory(), &bad) {
+        if let Ok((rec, rep)) = Database::recover(DatabaseConfig::default(), &bad) {
             assert_ne!(rep.end, DecodeEnd::Clean, "damage must be surfaced");
             assert!(rep.consumed < log.len());
             let (rec2, rep2) =
-                Database::recover(DatabaseConfig::default().in_memory(), &rec.durable_log())
-                    .unwrap();
+                Database::recover(DatabaseConfig::default(), &rec.durable_log()).unwrap();
             assert_eq!(rep2.undone, 0);
             assert_eq!(rec2.state_hash(), rec.state_hash());
         }

@@ -331,9 +331,9 @@ mod tests {
 
     #[test]
     fn driver_measures_throughput_and_breakdown() {
-        let db = sli_engine::Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory(),
-        );
+        let db = sli_engine::Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::PaperSli,
+        ));
         let tm1 = Tm1::load(&db, 1000, 1);
         let mix = tm1.ndbb_mix();
         let cfg = RunConfig {
@@ -362,9 +362,9 @@ mod tests {
 
     #[test]
     fn sweep_and_peak() {
-        let db = sli_engine::Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::Baseline).in_memory(),
-        );
+        let db = sli_engine::Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::Baseline,
+        ));
         let tm1 = Tm1::load(&db, 500, 2);
         let mix = tm1.single(sli_workloads::tm1::Tm1Txn::GetSubscriberData);
         let cfg = RunConfig {
@@ -386,9 +386,9 @@ mod tests {
 
     #[test]
     fn closed_loop_run_emits_a_valid_artifact_shape() {
-        let db = sli_engine::Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::Baseline).in_memory(),
-        );
+        let db = sli_engine::Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::Baseline,
+        ));
         let tm1 = Tm1::load(&db, 200, 1);
         let mix = tm1.ndbb_mix();
         let cfg = RunConfig {

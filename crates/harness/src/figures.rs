@@ -506,6 +506,8 @@ pub struct AblationRow {
     pub variant: &'static str,
     /// Attempts per second at full load.
     pub throughput: f64,
+    /// Transactions committed in the measurement window.
+    pub commits: u64,
     /// Reclaims per committed transaction.
     pub reclaims_per_txn: f64,
     /// Invalidations per committed transaction.
@@ -530,6 +532,7 @@ fn ablation_run(
     AblationRow {
         variant,
         throughput: r.attempts_per_sec,
+        commits: d.commits,
         reclaims_per_txn: d.sli_reclaimed as f64 / d.commits.max(1) as f64,
         invalidations_per_txn: d.sli_invalidated as f64 / d.commits.max(1) as f64,
         lockmgr_contention_pct: pct(r.report.contention_fraction(Component::LockManager)),
@@ -601,6 +604,7 @@ pub fn bimodal(knobs: &Knobs) -> Vec<AblationRow> {
         let row = AblationRow {
             variant,
             throughput: r.attempts_per_sec,
+            commits: d.commits,
             reclaims_per_txn: d.sli_reclaimed as f64 / d.commits.max(1) as f64,
             invalidations_per_txn: d.sli_discarded as f64 / d.commits.max(1) as f64,
             lockmgr_contention_pct: pct(r.report.contention_fraction(Component::LockManager)),
@@ -656,6 +660,7 @@ pub fn roving_hotspot(knobs: &Knobs) -> Vec<AblationRow> {
         let row = AblationRow {
             variant,
             throughput: r.attempts_per_sec,
+            commits: d.commits,
             reclaims_per_txn: d.sli_reclaimed as f64 / d.commits.max(1) as f64,
             invalidations_per_txn: d.sli_invalidated as f64 / d.commits.max(1) as f64,
             lockmgr_contention_pct: pct(r.report.contention_fraction(Component::LockManager)),
@@ -962,6 +967,42 @@ mod tests {
             pooled > allocated,
             "pooled={pooled} allocated={allocated}: pool not working"
         );
+    }
+
+    /// Every variant ran and committed work; the SLI-off variant reclaimed
+    /// nothing.
+    fn assert_ablation_rows(rows: &[AblationRow], variants: &[&str], sli_off: &str) {
+        let labels: Vec<&str> = rows.iter().map(|r| r.variant).collect();
+        assert_eq!(labels, variants);
+        for r in rows {
+            assert!(r.throughput > 0.0 && r.commits > 0, "{r:?}");
+        }
+        let off = rows.iter().find(|r| r.variant == sli_off).unwrap();
+        assert_eq!(off.reclaims_per_txn, 0.0, "{off:?}");
+    }
+
+    #[test]
+    fn ablation_criteria_runs_at_smoke_scale() {
+        let rows = ablation_criteria(&Knobs::smoke());
+        assert_ablation_rows(
+            &rows,
+            &[
+                "full-sli",
+                "sli-off",
+                "no-hot-filter",
+                "inherit-rows",
+                "ignore-waiters",
+                "ignore-parent",
+                "hysteresis-3",
+            ],
+            "sli-off",
+        );
+    }
+
+    #[test]
+    fn bimodal_runs_at_smoke_scale() {
+        let rows = bimodal(&Knobs::smoke());
+        assert_ablation_rows(&rows, &["baseline", "sli-h0", "sli-h2"], "baseline");
     }
 
     #[test]

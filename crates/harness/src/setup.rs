@@ -220,7 +220,7 @@ pub fn db_config(knobs: &Knobs, sli: bool) -> DatabaseConfig {
 /// Database config for an explicit lock policy: in-memory, with the
 /// knobs' row-work calibration and concurrency backend.
 pub fn db_config_for(knobs: &Knobs, policy: PolicyKind) -> DatabaseConfig {
-    let mut cfg = DatabaseConfig::with_policy(policy).in_memory();
+    let mut cfg = DatabaseConfig::with_policy(policy);
     cfg.row_work_ns = knobs.row_work_ns;
     cfg.backend = knobs.backend;
     cfg

@@ -124,7 +124,7 @@ fn durable_config(
     fault: FaultPlan,
     flush_latency: std::time::Duration,
 ) -> DatabaseConfig {
-    let mut cfg = DatabaseConfig::with_policy(policy).in_memory().durable();
+    let mut cfg = DatabaseConfig::with_policy(policy).durable();
     cfg.log.fault = fault;
     cfg.log.flush_latency = flush_latency;
     cfg.backend = backend;
@@ -134,9 +134,7 @@ fn durable_config(
 /// Recovery-side config: same backend as the crashed instance, so the
 /// recovered database accepts new transactions on the engine under test.
 fn recovery_config(backend: BackendKind) -> DatabaseConfig {
-    let mut cfg = DatabaseConfig::default().in_memory();
-    cfg.backend = backend;
-    cfg
+    DatabaseConfig::default().backend(backend)
 }
 
 /// Drive `agents` threads of `mix` for `txns` transactions each and

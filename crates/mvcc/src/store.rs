@@ -9,23 +9,16 @@ use sli_storage::{Observation, Provisional, Rid, VersionChain, BASE_TS, NOTHING_
 
 use crate::txn::ReadEntry;
 
-/// Tuning for the MVCC store.
-#[derive(Clone, Debug)]
-pub struct MvccConfig {
-    /// Shard count for the version map (rounded up to a power of two).
-    pub shards: usize,
-    /// Run a GC pass every this many writer commits.
-    pub gc_every: u64,
-}
+/// Argument to [`MvccStore::new`]. It holds nothing: the version map has
+/// 64 shards and an online GC pass runs every 128 writer commits.
+#[derive(Clone, Debug, Default)]
+pub struct MvccConfig;
 
-impl Default for MvccConfig {
-    fn default() -> Self {
-        MvccConfig {
-            shards: 64,
-            gc_every: 128,
-        }
-    }
-}
+/// Shard count of the version map (a power of two).
+const SHARDS: usize = 64;
+
+/// Writer commits between online GC prune passes.
+const GC_EVERY: u64 = 128;
 
 /// Why a provisional write could not be installed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,7 +112,6 @@ type Shard = Mutex<HashMap<(u32, Rid), VersionChain>>;
 /// window covers validation + in-memory log append, never the flush)
 /// until the flip or the validation abort resolves it.
 pub struct MvccStore {
-    config: MvccConfig,
     /// Last issued timestamp.
     ts: AtomicU64,
     /// Per-agent-slot active snapshot (`read_ts`; 0 = idle).
@@ -134,16 +126,12 @@ pub struct MvccStore {
 
 impl MvccStore {
     /// A store serving up to `max_agents` concurrent sessions.
-    pub fn new(max_agents: usize, config: MvccConfig) -> Self {
-        let shard_count = config.shards.next_power_of_two().max(1);
+    pub fn new(max_agents: usize, _config: MvccConfig) -> Self {
         MvccStore {
-            config,
             ts: AtomicU64::new(1),
             active: (0..max_agents).map(|_| AtomicU64::new(0)).collect(),
             preparing: (0..max_agents).map(|_| AtomicU64::new(0)).collect(),
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             writer_commits: AtomicU64::new(0),
             stats: Counters::default(),
         }
@@ -464,10 +452,10 @@ impl MvccStore {
     }
 
     /// GC tick from a writer commit: runs an online prune pass every
-    /// `MvccConfig::gc_every` commits.
+    /// 128 commits.
     pub fn maybe_gc(&self) {
         let n = self.writer_commits.fetch_add(1, Ordering::SeqCst) + 1;
-        if n.is_multiple_of(self.config.gc_every.max(1)) {
+        if n.is_multiple_of(GC_EVERY) {
             self.prune_pass();
         }
     }
@@ -506,7 +494,7 @@ mod tests {
 
     #[test]
     fn snapshot_reads_see_base_then_committed_versions() {
-        let store = MvccStore::new(4, MvccConfig::default());
+        let store = MvccStore::new(4, MvccConfig);
         // No chain: heap value is the base.
         let t0 = store.begin(0);
         let obs = store.read(0, R, t0, 1, Some(b("base")));
@@ -536,7 +524,7 @@ mod tests {
 
     #[test]
     fn first_writer_wins_rejects_the_second_writer() {
-        let store = MvccStore::new(4, MvccConfig::default());
+        let store = MvccStore::new(4, MvccConfig);
         let t1 = store.begin(0);
         let t2 = store.begin(1);
         store
@@ -556,7 +544,7 @@ mod tests {
 
     #[test]
     fn validation_catches_a_newer_committed_version() {
-        let store = MvccStore::new(4, MvccConfig::default());
+        let store = MvccStore::new(4, MvccConfig);
         let t1 = store.begin(0);
         let obs = store.read(0, R, t1, 1, Some(b("base")));
         let reads = [ReadEntry {
@@ -583,7 +571,7 @@ mod tests {
 
     #[test]
     fn gc_prunes_shadowed_versions_and_collapses_when_idle() {
-        let store = MvccStore::new(4, MvccConfig::default());
+        let store = MvccStore::new(4, MvccConfig);
         for i in 0..3u64 {
             let ts = store.begin(0);
             store
@@ -610,7 +598,7 @@ mod tests {
 
     #[test]
     fn tombstone_collapse_reports_the_rid() {
-        let store = MvccStore::new(4, MvccConfig::default());
+        let store = MvccStore::new(4, MvccConfig);
         let ts = store.begin(0);
         store.write(0, R, ts, 1, None, Some(b("base"))).unwrap();
         let c = store.prepare_commit(0);
@@ -626,7 +614,7 @@ mod tests {
 
     #[test]
     fn commit_ts_exceeds_every_prior_snapshot_and_the_floor() {
-        let store = MvccStore::new(4, MvccConfig::default());
+        let store = MvccStore::new(4, MvccConfig);
         let t = store.begin(0);
         store.advance_ts_floor(100);
         let c = store.prepare_commit(0);

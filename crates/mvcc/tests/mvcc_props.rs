@@ -200,7 +200,7 @@ fn run_history(
     txns: &[Vec<Op>],
     schedule: &[usize],
 ) -> (Vec<(u64, usize)>, Vec<TxnState>, MvccStore) {
-    let store = MvccStore::new(txns.len() + 1, MvccConfig::default());
+    let store = MvccStore::new(txns.len() + 1, MvccConfig);
     let mut states: Vec<TxnState> = (0..txns.len())
         .map(|i| TxnState {
             slot: i as u32,

@@ -1,199 +1,58 @@
-//! Buffer-pool residency simulation.
+//! Buffer-pool accounting.
 //!
-//! Data always lives in memory (as in the paper's tmpfs-backed database);
-//! the pool tracks which `(table, page)` frames would be resident and
-//! charges the configured I/O penalty on misses — the paper's "6 msec
-//! penalty for each I/O operation" standing in for a many-spindle disk
-//! array where requests proceed in parallel but each pays a seek.
+//! Data always lives in memory, as in the paper's tmpfs-backed database and
+//! the main-memory regime every measured configuration runs: every page is
+//! resident, so a row access is always a hit. The pool is where that access
+//! is counted and where its time lands in the profiler's buffer-pool
+//! component (the Figure 6/10 breakdowns).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
-use sli_latch::Latched;
 use sli_profiler::Category;
 use sli_profiler::Component;
-
-/// Buffer pool configuration.
-#[derive(Clone, Debug)]
-pub struct BufferPoolConfig {
-    /// Number of page frames. Accesses beyond this working set miss.
-    pub frames: usize,
-    /// Penalty charged per miss (paper default: 6 ms).
-    pub io_latency: Duration,
-}
-
-impl Default for BufferPoolConfig {
-    fn default() -> Self {
-        BufferPoolConfig {
-            frames: 1 << 20, // effectively everything resident
-            io_latency: Duration::from_millis(6),
-        }
-    }
-}
-
-impl BufferPoolConfig {
-    /// A pool where every access hits (the paper's in-memory NDBB setup).
-    pub fn all_in_memory() -> Self {
-        BufferPoolConfig {
-            frames: usize::MAX,
-            io_latency: Duration::ZERO,
-        }
-    }
-
-    /// A pool sized to `frames` with the paper's 6 ms penalty (the
-    /// "disk-resident" TPC-B/TPC-C setups).
-    pub fn disk_resident(frames: usize) -> Self {
-        BufferPoolConfig {
-            frames,
-            io_latency: Duration::from_millis(6),
-        }
-    }
-}
 
 /// Monotonic hit/miss counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufferPoolStats {
-    /// Accesses that found the frame resident.
+    /// Accesses that found the frame resident: every row access.
     pub hits: u64,
-    /// Accesses that paid the I/O penalty.
+    /// Accesses that paid an I/O penalty. Always 0: every page is resident.
     pub misses: u64,
-    /// Frames evicted by the clock hand.
+    /// Frames evicted. Always 0: nothing is ever evicted.
     pub evictions: u64,
 }
 
-struct Frame {
-    referenced: bool,
-}
-
-struct PoolInner {
-    frames: HashMap<(u32, u32), Frame>,
-    clock: Vec<(u32, u32)>,
-    hand: usize,
-}
-
-/// Clock-eviction residency tracker.
+/// Row-access counter of an all-resident buffer pool. Every row access on
+/// every thread bumps it, so it fills a cache line of its own rather than
+/// share one with the read-mostly data of whatever embeds it.
+#[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct BufferPool {
-    config: BufferPoolConfig,
-    inner: Latched<PoolInner>,
     hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl BufferPool {
     /// Create a pool.
-    pub fn new(config: BufferPoolConfig) -> Self {
-        BufferPool {
-            config,
-            inner: Latched::new(
-                Component::BufferPool,
-                PoolInner {
-                    frames: HashMap::new(),
-                    clock: Vec::new(),
-                    hand: 0,
-                },
-            ),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Touch `(table, page)`: account a hit, or pay the miss penalty and
-    /// make it resident (possibly evicting).
-    pub fn access(&self, table: u32, page: u32) {
+    /// Account one row access (always a hit).
+    #[inline]
+    pub fn access(&self) {
         let _work = sli_profiler::enter(Category::Work(Component::BufferPool));
-        if self.config.frames == usize::MAX {
-            // Fully resident configuration: pure accounting.
-            // ordering: monotonic statistics counter; nothing is published
-            // through it.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let key = (table, page);
-        let miss = {
-            let mut inner = self.inner.lock();
-            if let Some(f) = inner.frames.get_mut(&key) {
-                f.referenced = true;
-                false
-            } else {
-                // Bring in; evict if needed (second-chance clock).
-                if inner.frames.len() >= self.config.frames {
-                    loop {
-                        let hand = inner.hand;
-                        let victim = inner.clock[hand];
-                        let f = inner.frames.get_mut(&victim).expect("clock entry");
-                        if f.referenced {
-                            f.referenced = false;
-                            inner.hand = (hand + 1) % inner.clock.len();
-                        } else {
-                            inner.frames.remove(&victim);
-                            inner.clock[hand] = key;
-                            inner.hand = (hand + 1) % inner.clock.len();
-                            // ordering: statistics counter (see above).
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                } else {
-                    inner.clock.push(key);
-                }
-                inner.frames.insert(key, Frame { referenced: true });
-                true
-            }
-        };
-        if miss {
-            // ordering: statistics counter (see above).
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if !self.config.io_latency.is_zero() {
-                let _io = sli_profiler::enter(Category::IoWait);
-                // Simulated disk-read latency for the paper's experiments,
-                // not a wait on another thread. sli-lint: allow(sleep)
-                std::thread::sleep(self.config.io_latency);
-            }
-        } else {
-            // ordering: statistics counter (see above).
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Pre-warm a frame without charging a miss (loader paths).
-    pub fn prewarm(&self, table: u32, page: u32) {
-        if self.config.frames == usize::MAX {
-            return;
-        }
-        let key = (table, page);
-        let mut inner = self.inner.lock();
-        if inner.frames.len() < self.config.frames && !inner.frames.contains_key(&key) {
-            inner.clock.push(key);
-            inner.frames.insert(key, Frame { referenced: true });
-        }
+        // ordering: monotonic statistics counter; nothing is published
+        // through it.
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> BufferPoolStats {
-        // ordering: relaxed loads — advisory snapshot of independent
-        // counters.
         BufferPoolStats {
+            // ordering: relaxed load of the statistics counter.
             hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            ..BufferPoolStats::default()
         }
-    }
-
-    /// The pool's configuration.
-    pub fn config(&self) -> &BufferPoolConfig {
-        &self.config
-    }
-}
-
-impl std::fmt::Debug for BufferPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BufferPool")
-            .field("frames", &self.config.frames)
-            .field("stats", &self.stats())
-            .finish()
     }
 }
 
@@ -201,82 +60,27 @@ impl std::fmt::Debug for BufferPool {
 mod tests {
     use super::*;
 
-    fn pool(frames: usize) -> BufferPool {
-        BufferPool::new(BufferPoolConfig {
-            frames,
-            io_latency: Duration::ZERO,
-        })
-    }
-
     #[test]
     fn all_in_memory_never_misses() {
-        let p = BufferPool::new(BufferPoolConfig::all_in_memory());
-        for i in 0..1000 {
-            p.access(1, i);
+        let p = BufferPool::new();
+        for _ in 0..1000 {
+            p.access();
         }
         let s = p.stats();
         assert_eq!(s.misses, 0);
+        assert_eq!(s.evictions, 0);
         assert_eq!(s.hits, 1000);
     }
 
     #[test]
-    fn first_touch_misses_then_hits() {
-        let p = pool(16);
-        p.access(1, 0);
-        p.access(1, 0);
-        p.access(1, 0);
-        let s = p.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 2);
-    }
-
-    #[test]
-    fn working_set_larger_than_pool_evicts() {
-        let p = pool(4);
-        for round in 0..3 {
-            for page in 0..8 {
-                p.access(1, page);
-            }
-            let _ = round;
-        }
-        let s = p.stats();
-        assert!(s.evictions > 0);
-        assert!(s.misses > 8, "cyclic scan through a small pool thrashes");
-    }
-
-    #[test]
-    fn prewarm_avoids_first_miss() {
-        let p = pool(16);
-        p.prewarm(1, 0);
-        p.access(1, 0);
-        let s = p.stats();
-        assert_eq!(s.misses, 0);
-        assert_eq!(s.hits, 1);
-    }
-
-    #[test]
-    fn io_latency_is_charged_on_miss() {
-        let p = BufferPool::new(BufferPoolConfig {
-            frames: 4,
-            io_latency: Duration::from_millis(5),
-        });
-        let t0 = std::time::Instant::now();
-        p.access(1, 0); // miss
-        assert!(t0.elapsed() >= Duration::from_millis(4));
-        let t1 = std::time::Instant::now();
-        p.access(1, 0); // hit
-        assert!(t1.elapsed() < Duration::from_millis(4));
-    }
-
-    #[test]
     fn concurrent_access_is_safe() {
-        let p = std::sync::Arc::new(pool(32));
+        let p = std::sync::Arc::new(BufferPool::new());
         let mut handles = Vec::new();
-        for t in 0..8u32 {
+        for _ in 0..8 {
             let p = std::sync::Arc::clone(&p);
             handles.push(std::thread::spawn(move || {
-                for i in 0..1000u32 {
-                    p.access(t % 2, i % 64);
+                for _ in 0..1000 {
+                    p.access();
                 }
             }));
         }
@@ -285,5 +89,6 @@ mod tests {
         }
         let s = p.stats();
         assert_eq!(s.hits + s.misses, 8000);
+        assert_eq!(s.misses, 0);
     }
 }

@@ -1,16 +1,13 @@
-//! # sli-storage — heap tables, indexes, and simulated I/O
+//! # sli-storage — heap tables, indexes, and version chains
 //!
 //! The storage substrate underneath the SLI engine: slotted pages grouped
 //! into heap tables, sharded hash primary indexes plus ordered secondary
-//! indexes, and a buffer-pool *residency simulator* that charges a
-//! configurable penalty for page misses.
+//! indexes, MVCC version chains, and a [`BufferPool`] that counts row
+//! accesses.
 //!
-//! The paper stores its database on an in-memory filesystem and modifies
-//! Shore to "impose a 6 msec penalty for each I/O operation", simulating "a
-//! high-end disk array having many spindles, such that all requests can
-//! proceed in parallel but must each still pay the cost of a disk seek"
-//! (Section 5.2). [`BufferPool`] implements exactly that model: data always
-//! lives in memory; misses merely cost time.
+//! The paper stores its database on an in-memory filesystem (Section 5.2).
+//! Every configuration this reproduction measures is main-memory too, so
+//! every page is resident and every access a buffer-pool hit.
 
 mod bufferpool;
 mod heap;
@@ -18,7 +15,7 @@ mod index;
 mod page;
 mod version;
 
-pub use bufferpool::{BufferPool, BufferPoolConfig, BufferPoolStats};
+pub use bufferpool::{BufferPool, BufferPoolStats};
 pub use heap::HeapTable;
 pub use index::{HashIndex, OrderedIndex};
 pub use page::{Rid, SlottedPage, SLOTS_PER_PAGE};

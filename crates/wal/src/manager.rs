@@ -132,10 +132,6 @@ pub struct LogConfig {
     /// Log-ring capacity in bytes (rounded to a power of two and clamped
     /// to `[256, 256 MiB]`).
     pub ring_bytes: u64,
-    /// Upper bound of the flusher's adaptive batch window — how long the
-    /// dedicated flusher may wait for more committers to join a group
-    /// before issuing the fsync. Zero disables pacing.
-    pub batch_window: Duration,
 }
 
 impl Default for LogConfig {
@@ -145,7 +141,6 @@ impl Default for LogConfig {
             retain: false,
             fault: FaultPlan::none(),
             ring_bytes: 1 << 20,
-            batch_window: Duration::from_micros(200),
         }
     }
 }
@@ -387,13 +382,17 @@ impl LogInner {
     }
 }
 
+/// Upper bound of the flusher's adaptive batch window: how long the
+/// dedicated flusher may wait for more committers to join a group before
+/// issuing the fsync.
+const MAX_BATCH_WINDOW: Duration = Duration::from_micros(200);
+
 /// The dedicated flusher: sleeps on its doorbell, paces batches with an
 /// adaptive window (double it when flushes go out with at most one
 /// waiter, halve it when groups form on their own), and keeps flushing
 /// while uncovered committers remain (`run_flush` re-rings the doorbell
 /// for them).
 fn flusher_main(inner: Arc<LogInner>) {
-    let max_window = inner.config.batch_window;
     let mut window = Duration::ZERO;
     'idle: loop {
         parking::park(
@@ -434,12 +433,12 @@ fn flusher_main(inner: Arc<LogInner>) {
             // Tune the window toward "groups form, latency doesn't":
             // a lonely flush earns more batching, an oversized group
             // means the window is adding pure latency.
-            if !max_window.is_zero() {
-                if woken <= 1 {
-                    window = (window * 2).max(Duration::from_micros(25)).min(max_window);
-                } else if woken >= 4 {
-                    window /= 2;
-                }
+            if woken <= 1 {
+                window = (window * 2)
+                    .max(Duration::from_micros(25))
+                    .min(MAX_BATCH_WINDOW);
+            } else if woken >= 4 {
+                window /= 2;
             }
             std::thread::yield_now();
         }

@@ -439,9 +439,9 @@ mod tests {
     use sli_engine::DatabaseConfig;
 
     fn small_tm1() -> (Arc<Database>, Arc<Tm1>) {
-        let db = Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory(),
-        );
+        let db = Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::PaperSli,
+        ));
         let tm1 = Tm1::load(&db, 500, 7);
         (db, tm1)
     }
@@ -541,9 +541,9 @@ mod tests {
     fn unsuccessful_update_subscriber_still_commits_first_statement() {
         // TM1 semantics: the zero-row special-facility UPDATE does not roll
         // the transaction back — the subscriber bits change persists.
-        let db = Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory(),
-        );
+        let db = Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::PaperSli,
+        ));
         let tm1 = Tm1::load(&db, 50, 11);
         let s = db.session();
         let mut rng = SmallRng::seed_from_u64(1);
@@ -570,9 +570,9 @@ mod tests {
     fn failed_reads_commit_rather_than_abort() {
         // "Failures" must not roll back: the lock-manager commit counter
         // advances for UserFail outcomes of the read transactions.
-        let db = Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory(),
-        );
+        let db = Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::PaperSli,
+        ));
         let tm1 = Tm1::load(&db, 100, 5);
         let s = db.session();
         let mut rng = SmallRng::seed_from_u64(2);

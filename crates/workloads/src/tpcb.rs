@@ -278,9 +278,9 @@ mod tests {
 
     #[test]
     fn load_counts() {
-        let db = Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory(),
-        );
+        let db = Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::PaperSli,
+        ));
         let b = TpcB::load(&db, 4, 100);
         assert_eq!(db.record_count(db.table_handle("tpcb_branch").unwrap()), 4);
         assert_eq!(db.record_count(db.table_handle("tpcb_teller").unwrap()), 40);
@@ -294,9 +294,9 @@ mod tests {
 
     #[test]
     fn single_threaded_transactions_preserve_the_invariant() {
-        let db = Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory(),
-        );
+        let db = Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::PaperSli,
+        ));
         let b = TpcB::load(&db, 2, 50);
         let s = db.session();
         let mut rng = SmallRng::seed_from_u64(12);
@@ -314,9 +314,9 @@ mod tests {
 
     #[test]
     fn concurrent_transactions_preserve_the_invariant() {
-        let db = Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory(),
-        );
+        let db = Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::PaperSli,
+        ));
         let b = TpcB::load(&db, 2, 50);
         let mut handles = Vec::new();
         for t in 0..6u64 {
@@ -350,7 +350,7 @@ mod tests {
     fn branch_audit_sees_consistent_snapshots_under_concurrent_updates() {
         use sli_engine::BackendKind;
         for backend in [BackendKind::Locked2pl, BackendKind::Mvcc] {
-            let db = Database::open(DatabaseConfig::default().backend(backend).in_memory());
+            let db = Database::open(DatabaseConfig::default().backend(backend));
             let b = TpcB::load(&db, 2, 50);
             let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
             let mut writers = Vec::new();

@@ -661,9 +661,9 @@ mod tests {
     use sli_engine::DatabaseConfig;
 
     fn tiny() -> (Arc<Database>, Arc<TpcC>) {
-        let db = Database::open(
-            DatabaseConfig::with_policy(sli_engine::PolicyKind::PaperSli).in_memory(),
-        );
+        let db = Database::open(DatabaseConfig::with_policy(
+            sli_engine::PolicyKind::PaperSli,
+        ));
         let tpcc = TpcC::load(&db, TpcCScale::tiny(), 42);
         (db, tpcc)
     }

@@ -18,7 +18,7 @@ use sli::workloads::tpcb::TpcB;
 use sli::workloads::Outcome;
 
 fn main() {
-    let mut config = DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory();
+    let mut config = DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli);
     config.row_work_ns = 500;
     let db = Database::open(config);
     let bank = TpcB::load(&db, 16, 1_000);

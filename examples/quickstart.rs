@@ -10,8 +10,9 @@ fn main() {
     // A database with Speculative Lock Inheritance enabled (the default
     // configuration; use `DatabaseConfig::with_policy(sli::engine::PolicyKind::Baseline)` for the unmodified
     // lock manager).
-    let db =
-        Database::open(DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory());
+    let db = Database::open(DatabaseConfig::with_policy(
+        sli::engine::PolicyKind::PaperSli,
+    ));
     let accounts = db.create_table("accounts").expect("fresh database");
 
     // Load a few rows outside of any transaction.

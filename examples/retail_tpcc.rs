@@ -19,7 +19,7 @@ use sli::workloads::tpcc::{TpcC, TpcCScale};
 use sli::workloads::Outcome;
 
 fn main() {
-    let mut config = DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory();
+    let mut config = DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli);
     config.row_work_ns = 500;
     let db = Database::open(config);
     let scale = TpcCScale {

@@ -43,9 +43,9 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(8);
     println!("NDBB mix, {agents} concurrent sessions, 50k subscribers\n");
-    let mut baseline = DatabaseConfig::with_policy(sli::engine::PolicyKind::Baseline).in_memory();
+    let mut baseline = DatabaseConfig::with_policy(sli::engine::PolicyKind::Baseline);
     baseline.row_work_ns = 800;
-    let mut sli = DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory();
+    let mut sli = DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli);
     sli.row_work_ns = 800;
     drive("baseline", baseline, agents);
     drive("SLI", sli, agents);

@@ -26,8 +26,9 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// with the committed operation log.
 #[test]
 fn mixed_readers_writers_inserters_deleters() {
-    let db =
-        Database::open(DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory());
+    let db = Database::open(DatabaseConfig::with_policy(
+        sli::engine::PolicyKind::PaperSli,
+    ));
     let t = db.create_table("stress").unwrap();
     for k in 0..64u64 {
         db.bulk_insert(t, k, None, &k.to_le_bytes());
@@ -112,9 +113,9 @@ fn mixed_readers_writers_inserters_deleters() {
 fn sli_and_baseline_converge_to_identical_state() {
     let run = |sli: bool| -> Vec<u64> {
         let config = if sli {
-            DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory()
+            DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli)
         } else {
-            DatabaseConfig::with_policy(sli::engine::PolicyKind::Baseline).in_memory()
+            DatabaseConfig::with_policy(sli::engine::PolicyKind::Baseline)
         };
         let db = Database::open(config);
         let t = db.create_table("conv").unwrap();

@@ -148,7 +148,6 @@ fn check_head(head: &Arc<LockHead>, expected_fast: [u32; 3]) {
 fn mk_manager() -> Arc<LockManager> {
     let mut cfg = LockManagerConfig::with_policy(PolicyKind::PaperSli);
     cfg.lock_timeout = Duration::from_secs(5);
-    cfg.deadlock_poll = Duration::from_micros(200);
     // Small sampling period: both paths fire constantly.
     cfg.fastpath = FastPathConfig {
         enabled: true,

@@ -202,7 +202,7 @@ proptest! {
         seed_rows in prop::collection::vec((0u64..32, any::<u64>()), 1..16),
         ops in prop::collection::vec((0u8..3, 0u64..48, any::<u64>()), 1..24,),
     ) {
-        let db = Database::open(DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory());
+        let db = Database::open(DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli));
         let t = db.create_table("t").unwrap();
         for (k, v) in &seed_rows {
             if db.peek(t, *k).is_none() {
@@ -250,7 +250,7 @@ proptest! {
         for s in &samples {
             t.record(*s);
         }
-        let r = t.ratio(16);
+        let r = t.ratio();
         prop_assert!((0.0..=1.0).contains(&r));
         if samples.len() >= 16 {
             let recent: usize = samples[samples.len() - 16..]

@@ -49,12 +49,12 @@ fn deterministic_schedule(config: DatabaseConfig) -> Vec<Vec<u8>> {
 #[test]
 fn single_threaded_results_identical_with_and_without_sli() {
     assert_eq!(
-        deterministic_schedule(
-            DatabaseConfig::with_policy(sli::engine::PolicyKind::Baseline).in_memory()
-        ),
-        deterministic_schedule(
-            DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory()
-        )
+        deterministic_schedule(DatabaseConfig::with_policy(
+            sli::engine::PolicyKind::Baseline
+        )),
+        deterministic_schedule(DatabaseConfig::with_policy(
+            sli::engine::PolicyKind::PaperSli
+        ))
     );
 }
 
@@ -63,14 +63,13 @@ fn single_threaded_results_identical_with_and_without_sli() {
 /// baseline.
 #[test]
 fn all_policies_produce_identical_committed_state() {
-    let reference =
-        deterministic_schedule(DatabaseConfig::with_policy(PolicyKind::Baseline).in_memory());
+    let reference = deterministic_schedule(DatabaseConfig::with_policy(PolicyKind::Baseline));
     for kind in PolicyKind::ALL {
         if kind == PolicyKind::Baseline {
             continue; // it produced the reference
         }
         assert_eq!(
-            deterministic_schedule(DatabaseConfig::with_policy(kind).in_memory()),
+            deterministic_schedule(DatabaseConfig::with_policy(kind)),
             reference,
             "policy {} diverged from baseline",
             kind.name()
@@ -84,7 +83,7 @@ fn all_policies_produce_identical_committed_state() {
 #[test]
 fn all_policies_preserve_tpcb_invariants_under_concurrency() {
     for kind in PolicyKind::ALL {
-        let db = Database::open(DatabaseConfig::with_policy(kind).in_memory());
+        let db = Database::open(DatabaseConfig::with_policy(kind));
         let bank = TpcB::load(&db, 4, 100);
         let threads = 4;
         let mut handles = Vec::new();
@@ -127,8 +126,9 @@ fn all_policies_preserve_tpcb_invariants_under_concurrency() {
 /// with SLI enabled (two-phase locking is preserved through inheritance).
 #[test]
 fn tpcb_invariant_holds_under_concurrency_with_sli() {
-    let db =
-        Database::open(DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory());
+    let db = Database::open(DatabaseConfig::with_policy(
+        sli::engine::PolicyKind::PaperSli,
+    ));
     let bank = TpcB::load(&db, 4, 200);
     let threads = 8;
     let mut handles = Vec::new();
@@ -168,8 +168,9 @@ fn tpcb_invariant_holds_under_concurrency_with_sli() {
 /// state of the inheriting chain, never a torn or stale read.
 #[test]
 fn conflicting_writer_sees_consistent_state() {
-    let db =
-        Database::open(DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory());
+    let db = Database::open(DatabaseConfig::with_policy(
+        sli::engine::PolicyKind::PaperSli,
+    ));
     let t = db.create_table("counter").unwrap();
     db.bulk_insert(t, 1, None, &0u64.to_le_bytes());
 
@@ -221,8 +222,9 @@ fn conflicting_writer_sees_consistent_state() {
 /// Retryable vs non-retryable classification is stable across the stack.
 #[test]
 fn error_taxonomy_round_trips() {
-    let db =
-        Database::open(DatabaseConfig::with_policy(sli::engine::PolicyKind::PaperSli).in_memory());
+    let db = Database::open(DatabaseConfig::with_policy(
+        sli::engine::PolicyKind::PaperSli,
+    ));
     let t = db.create_table("t").unwrap();
     let s = db.session();
     let r = s.run(|txn| txn.read_by_key(t, 999).map(|_| ()));
