@@ -1,7 +1,8 @@
 //! Diagnostic: NewOrder baseline vs SLI at fixed agent count, reporting
 //! sys-aborts and SLI counters to explain Figure 11 outliers.
-use sli_harness::driver::{run_workload, RunConfig};
+use sli_harness::driver::run_workload;
 use sli_harness::setup::{tpcc_workloads, Knobs};
+use sli_traffic::LoadConfig;
 use std::time::Duration;
 
 fn main() {
@@ -12,17 +13,15 @@ fn main() {
     };
     for sli in [false, true] {
         for w in tpcc_workloads(&knobs, sli, &["NewOrder", "Delivery", "StockLevel"]) {
-            let cfg = RunConfig {
-                agents: knobs.max_agents,
-                warmup: knobs.warmup,
-                measure: knobs.measure,
+            let cfg = LoadConfig {
                 seed: 5,
+                ..knobs.closed_loop(knobs.max_agents)
             };
-            let r = run_workload(&w.db, &w.mix, &cfg);
-            let d = &r.lock_delta;
+            let r = run_workload(&w.db, &w.mix, &cfg, None);
+            let (s, d) = (&r.load.summary, &r.lock_delta);
             println!(
                 "{:>10} sli={} attempts/s={:>8.0} commits={:>6} sysaborts={:>5} reclaims/txn={:.2} discards/txn={:.3} invalid/txn={:.3} deadlocks={} timeouts={} lm-cont={:.1}% lockwait={:.1}%",
-                w.label, sli as u8, r.attempts_per_sec, r.commits, r.sys_aborts,
+                w.label, sli as u8, s.attempts_per_sec, s.commits, s.sys_aborts,
                 d.sli_reclaimed as f64 / d.commits.max(1) as f64,
                 d.sli_discarded as f64 / d.commits.max(1) as f64,
                 d.sli_invalidated as f64 / d.commits.max(1) as f64,

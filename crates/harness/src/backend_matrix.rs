@@ -28,7 +28,7 @@ use sli_workloads::tpcb::TpcB;
 use sli_workloads::tpcc::{TpcC, TpcCTxn};
 use sli_workloads::MixedWorkload;
 
-use crate::driver::{run_workload, RunConfig};
+use crate::driver::run_workload;
 use crate::setup::{db_config_for, Knobs};
 
 /// One cell of the backend matrix: one workload on one backend at one
@@ -125,18 +125,13 @@ pub fn backend_matrix(knobs: &Knobs) -> Vec<BackendMatrixRow> {
             let db = Database::open(db_cfg);
             let mix = load_mix(workload, &db, knobs);
             for agents in knobs.short_ladder() {
-                let cfg = RunConfig {
-                    agents,
-                    warmup: knobs.warmup,
-                    measure: knobs.measure,
-                    seed: 0xC0FFEE,
-                };
                 let mvcc_before = db.mvcc_stats().unwrap_or_default();
-                let r = run_workload(&db, &mix, &cfg);
+                let r = run_workload(&db, &mix, &knobs.closed_loop(agents), None);
                 let mv = mvcc_delta(&db.mvcc_stats().unwrap_or_default(), &mvcc_before);
                 r.bench_artifact(
                     "backend-matrix",
                     &format!("{workload}-{variant}-a{agents}"),
+                    knobs,
                     vec![
                         ("backend".into(), db.backend_name().into()),
                         ("policy".into(), policy.name().into()),
@@ -163,9 +158,9 @@ pub fn backend_matrix(knobs: &Knobs) -> Vec<BackendMatrixRow> {
                     workload,
                     variant,
                     agents,
-                    throughput: r.attempts_per_sec,
-                    commits: r.commits,
-                    sys_aborts: r.sys_aborts,
+                    throughput: r.load.summary.attempts_per_sec,
+                    commits: r.load.summary.commits,
+                    sys_aborts: r.load.summary.sys_aborts,
                     lock_requests: r.lock_delta.lock_requests,
                     fastpath_granted: r.lock_delta.fastpath_granted,
                     validation_aborts: mv.validation_aborts,

@@ -14,20 +14,11 @@ use sli_workloads::tm1::Tm1;
 use sli_workloads::tpcb::TpcB;
 use sli_workloads::MixedWorkload;
 
-use crate::driver::{run_workload, sweep_agents, RunConfig, RunResult};
+use crate::driver::{run_workload, sweep_agents, RunResult};
 use crate::setup::{
     all_breakdown_workloads, db_config, tm1_workloads, tpcb_workload, tpcc_workloads, Knobs,
     LoadedWorkload,
 };
-
-fn run_cfg(knobs: &Knobs, agents: usize) -> RunConfig {
-    RunConfig {
-        agents,
-        warmup: knobs.warmup,
-        measure: knobs.measure,
-        seed: 0xC0FFEE,
-    }
-}
 
 fn pct(x: f64) -> f64 {
     (x * 1000.0).round() / 10.0
@@ -63,11 +54,11 @@ pub fn fig1(knobs: &Knobs) -> Vec<Fig1Row> {
     );
     let mut rows = Vec::new();
     for agents in knobs.agent_ladder() {
-        let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, agents));
+        let r = run_workload(&w.db, &w.mix, &knobs.closed_loop(agents), None);
         let (work, cont) = r.lockmgr_fractions();
         let row = Fig1Row {
             agents,
-            throughput: r.attempts_per_sec,
+            throughput: r.load.summary.attempts_per_sec,
             lockmgr_work_pct: pct(work),
             lockmgr_contention_pct: pct(cont),
             utilization_pct: pct(r.report.utilization()),
@@ -222,8 +213,8 @@ fn breakdown_row(label: &'static str, r: &RunResult) -> BreakdownRow {
     let sli = r.report.work_fraction(Component::Sli);
     BreakdownRow {
         label,
-        agents: r.agents,
-        throughput: r.attempts_per_sec,
+        agents: r.load.config.workers,
+        throughput: r.load.summary.attempts_per_sec,
         work_other_pct: pct(wo - sli),
         work_lockmgr_pct: pct(wl),
         cont_lockmgr_pct: pct(cl),
@@ -255,7 +246,7 @@ fn print_breakdown_row(row: &BreakdownRow) {
 }
 
 fn breakdown_at_peak(w: &LoadedWorkload, knobs: &Knobs) -> BreakdownRow {
-    let sweep = sweep_agents(&w.db, &w.mix, &knobs.short_ladder(), &run_cfg(knobs, 1));
+    let sweep = sweep_agents(&w.db, &w.mix, &knobs.short_ladder(), &knobs.closed_loop(1));
     breakdown_row(w.label, sweep.peak())
 }
 
@@ -278,7 +269,7 @@ pub fn fig10(knobs: &Knobs) -> Vec<BreakdownRow> {
     all_breakdown_workloads(knobs, true)
         .iter()
         .map(|w| {
-            let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, knobs.max_agents));
+            let r = run_workload(&w.db, &w.mix, &knobs.closed_loop(knobs.max_agents), None);
             let row = breakdown_row(w.label, &r);
             print_breakdown_row(&row);
             row
@@ -314,11 +305,11 @@ pub fn fig7(knobs: &Knobs) -> Vec<(&'static str, Vec<Fig7Point>)> {
         println!("{:>7} {:>8} {:>12}", "agents", "util%", "attempts/s");
         let mut curve = Vec::new();
         for agents in knobs.agent_ladder() {
-            let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, agents));
+            let r = run_workload(&w.db, &w.mix, &knobs.closed_loop(agents), None);
             let p = Fig7Point {
                 agents,
                 utilization_pct: pct(r.report.utilization()),
-                throughput: r.attempts_per_sec,
+                throughput: r.load.summary.attempts_per_sec,
             };
             println!(
                 "{:>7} {:>8.1} {:>12.0}",
@@ -364,7 +355,7 @@ pub fn fig8(knobs: &Knobs) -> Vec<Fig8Row> {
     all_breakdown_workloads(knobs, false)
         .iter()
         .map(|w| {
-            let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, knobs.max_agents));
+            let r = run_workload(&w.db, &w.mix, &knobs.closed_loop(knobs.max_agents), None);
             let (hh, hn, cr, ch) = r.lock_delta.census_fractions();
             let row = Fig8Row {
                 label: w.label,
@@ -420,7 +411,7 @@ pub fn fig9(knobs: &Knobs) -> Vec<Fig9Row> {
     all_breakdown_workloads(knobs, true)
         .iter()
         .map(|w| {
-            let r = run_workload(&w.db, &w.mix, &run_cfg(knobs, knobs.max_agents));
+            let r = run_workload(&w.db, &w.mix, &knobs.closed_loop(knobs.max_agents), None);
             let d = &r.lock_delta;
             let hot = d.hot_locks().max(1) as f64;
             let row = Fig9Row {
@@ -476,10 +467,10 @@ pub fn fig11(knobs: &Knobs) -> Vec<Fig11Row> {
         .zip(with.iter())
         .map(|(b, s)| {
             debug_assert_eq!(b.label, s.label);
-            let rb = sweep_agents(&b.db, &b.mix, &knobs.short_ladder(), &run_cfg(knobs, 1));
-            let rs = sweep_agents(&s.db, &s.mix, &knobs.short_ladder(), &run_cfg(knobs, 1));
-            let pb = rb.peak().attempts_per_sec;
-            let ps = rs.peak().attempts_per_sec;
+            let rb = sweep_agents(&b.db, &b.mix, &knobs.short_ladder(), &knobs.closed_loop(1));
+            let rs = sweep_agents(&s.db, &s.mix, &knobs.short_ladder(), &knobs.closed_loop(1));
+            let pb = rb.peak().load.summary.attempts_per_sec;
+            let ps = rs.peak().load.summary.attempts_per_sec;
             let row = Fig11Row {
                 label: b.label,
                 baseline: pb,
@@ -527,11 +518,11 @@ fn ablation_run(
     let db = Database::open(db_cfg);
     let tm1 = Tm1::load(&db, knobs.tm1_subscribers, 42);
     let mix = tm1.ndbb_mix();
-    let r = run_workload(&db, &mix, &run_cfg(knobs, knobs.max_agents));
+    let r = run_workload(&db, &mix, &knobs.closed_loop(knobs.max_agents), None);
     let d = &r.lock_delta;
     AblationRow {
         variant,
-        throughput: r.attempts_per_sec,
+        throughput: r.load.summary.attempts_per_sec,
         commits: d.commits,
         reclaims_per_txn: d.sli_reclaimed as f64 / d.commits.max(1) as f64,
         invalidations_per_txn: d.sli_invalidated as f64 / d.commits.max(1) as f64,
@@ -599,11 +590,11 @@ pub fn bimodal(knobs: &Knobs) -> Vec<AblationRow> {
             "bimodal",
             vec![(0.5, tm1.ndbb_mix()), (0.5, tpcb.workload())],
         );
-        let r = run_workload(&db, &mix, &run_cfg(knobs, knobs.max_agents));
+        let r = run_workload(&db, &mix, &knobs.closed_loop(knobs.max_agents), None);
         let d = &r.lock_delta;
         let row = AblationRow {
             variant,
-            throughput: r.attempts_per_sec,
+            throughput: r.load.summary.attempts_per_sec,
             commits: d.commits,
             reclaims_per_txn: d.sli_reclaimed as f64 / d.commits.max(1) as f64,
             invalidations_per_txn: d.sli_discarded as f64 / d.commits.max(1) as f64,
@@ -655,11 +646,11 @@ pub fn roving_hotspot(knobs: &Knobs) -> Vec<AblationRow> {
                 }),
             }],
         );
-        let r = run_workload(&db, &mix, &run_cfg(knobs, knobs.max_agents));
+        let r = run_workload(&db, &mix, &knobs.closed_loop(knobs.max_agents), None);
         let d = &r.lock_delta;
         let row = AblationRow {
             variant,
-            throughput: r.attempts_per_sec,
+            throughput: r.load.summary.attempts_per_sec,
             commits: d.commits,
             reclaims_per_txn: d.sli_reclaimed as f64 / d.commits.max(1) as f64,
             invalidations_per_txn: d.sli_invalidated as f64 / d.commits.max(1) as f64,
@@ -738,12 +729,12 @@ pub fn grant_word(knobs: &Knobs) -> Vec<GrantWordRow> {
         let tpcb = TpcB::load(&db, knobs.tpcb_branches, knobs.tpcb_accounts);
         let mix = tpcb.workload();
         for agents in knobs.short_ladder() {
-            let r = run_workload(&db, &mix, &run_cfg(knobs, agents));
+            let r = run_workload(&db, &mix, &knobs.closed_loop(agents), None);
             let d = &r.lock_delta;
             let row = GrantWordRow {
                 policy: kind.name(),
                 agents,
-                throughput: r.attempts_per_sec,
+                throughput: r.load.summary.attempts_per_sec,
                 fast_granted: d.fastpath_granted,
                 fast_fallbacks: d.fastpath_fallbacks,
                 fast_sampled: d.fastpath_sampled,
@@ -839,10 +830,11 @@ pub fn latch_scaling(knobs: &Knobs) -> Vec<LatchScalingRow> {
         let mix = tm1.ndbb_mix();
         for multiple in [1usize, 2, 4, 8] {
             let agents = multiple * cores;
-            let r = run_workload(&db, &mix, &run_cfg(knobs, agents));
+            let r = run_workload(&db, &mix, &knobs.closed_loop(agents), None);
             r.bench_artifact(
                 "latch-scaling",
                 &format!("ndbb-{}-x{multiple}", kind.name()),
+                knobs,
                 vec![("policy".into(), kind.name().into())],
             )
             .emit(knobs.bench_dir.as_deref());
@@ -852,7 +844,7 @@ pub fn latch_scaling(knobs: &Knobs) -> Vec<LatchScalingRow> {
                 policy: kind.name(),
                 agents,
                 multiple,
-                throughput: r.attempts_per_sec,
+                throughput: r.load.summary.attempts_per_sec,
                 parks: p.parks,
                 unparks: p.unparks,
                 spins: p.spins,

@@ -4,7 +4,13 @@
 //! of N agent threads running transactions back-to-back against a loaded
 //! database, a warmup phase, then a timed measurement window during which
 //! per-thread profiler tallies, lock-manager counters, and
-//! committed-transaction counts are collected.
+//! committed-transaction counts are collected. Every run — that closed
+//! loop, and the open-loop storms of the `traffic` experiment — goes
+//! through [`run_workload`], the engine bracket around the one load
+//! driver, `sli_traffic::run_load`: same phase rule, same profiler
+//! window, same `attempts_per_sec` (commits + user fails), and one
+//! artifact constructor ([`RunResult::bench_artifact`]) that prints every
+//! knob.
 //!
 //! Each `fig*` function regenerates one figure's series and prints it as a
 //! fixed-width table; `EXPERIMENTS.md` records paper-vs-measured shapes.
@@ -22,10 +28,10 @@ pub mod torture;
 pub mod traffic;
 
 pub use backend_matrix::{backend_matrix, BackendMatrixRow};
-pub use driver::{run_workload, sweep_agents, RunConfig, RunResult, Sweep};
+pub use driver::{run_workload, sweep_agents, RunResult, Sweep};
 pub use setup::Knobs;
 pub use torture::{crash_torture, CrashFlavor, TortureSummary};
-pub use traffic::{EngineOpenLoop, TrafficKnobs, TrafficRow};
+pub use traffic::{TrafficKnobs, TrafficRow};
 
 /// One runnable experiment of the `sli-harness` binary.
 pub struct Experiment {

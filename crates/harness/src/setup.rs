@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sli_engine::{BackendKind, Database, DatabaseConfig, PolicyKind};
-use sli_traffic::ArrivalPattern;
+use sli_traffic::{ArrivalPattern, Arrivals, LoadConfig};
 use sli_workloads::tm1::{Tm1, Tm1Txn};
 use sli_workloads::tpcb::TpcB;
 use sli_workloads::tpcc::{TpcC, TpcCScale, TpcCTxn};
@@ -136,7 +136,6 @@ impl Knobs {
                     .filter(|d| !d.is_zero()),
                 queue_cap: 4096,
                 workers: at_least_one("SLI_TRAFFIC_WORKERS", cores.min(4)),
-                window_ms: 500,
             },
             torture_points: num("SLI_TORTURE_POINTS", 60),
             bench_dir: match lookup("SLI_BENCH_DIR") {
@@ -159,6 +158,51 @@ impl Knobs {
             max_agents: 4,
             bench_dir: None,
             ..Knobs::from_lookup(|_| None)
+        }
+    }
+
+    /// Every knob in [`KNOB_HELP`] as a `(name, value)` pair, in its
+    /// order, spelled so that [`Knobs::from_lookup`] reads it back: the
+    /// config every harness artifact carries.
+    pub fn config_pairs(&self) -> Vec<(String, String)> {
+        let t = &self.traffic;
+        let bench_dir = self
+            .bench_dir
+            .as_ref()
+            .map_or("0".to_string(), |d| d.display().to_string());
+        [
+            ("SLI_MEASURE_MS", self.measure.as_millis().to_string()),
+            ("SLI_WARMUP_MS", self.warmup.as_millis().to_string()),
+            ("SLI_MAX_AGENTS", self.max_agents.to_string()),
+            ("SLI_TM1_SUBS", self.tm1_subscribers.to_string()),
+            ("SLI_TPCB_BRANCHES", self.tpcb_branches.to_string()),
+            ("SLI_TPCC_WAREHOUSES", self.tpcc.warehouses.to_string()),
+            ("SLI_ROW_WORK_NS", self.row_work_ns.to_string()),
+            ("SLI_BACKEND", self.backend.name().to_string()),
+            ("SLI_TRAFFIC_RATE", t.rate.unwrap_or(0.0).to_string()),
+            ("SLI_TRAFFIC_PATTERN", t.pattern.describe()),
+            (
+                "SLI_TRAFFIC_SOAK_SECS",
+                t.soak.map_or(0, |d| d.as_secs()).to_string(),
+            ),
+            ("SLI_TRAFFIC_WORKERS", t.workers.to_string()),
+            ("SLI_TORTURE_POINTS", self.torture_points.to_string()),
+            ("SLI_BENCH_DIR", bench_dir),
+        ]
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), value))
+        .collect()
+    }
+
+    /// A closed loop of `agents` workers over this warm-up and measure
+    /// window: the paper's measurement point.
+    pub fn closed_loop(&self, agents: usize) -> LoadConfig {
+        LoadConfig {
+            arrivals: Arrivals::Closed,
+            workers: agents,
+            warmup: self.warmup,
+            measure: self.measure,
+            seed: 0xC0FFEE,
         }
     }
 
@@ -463,6 +507,44 @@ mod tests {
             };
             let set = format!("{:?}", Knobs::from_lookup(lookup(&[(name, &value)])));
             assert_eq!(set, unset, "{name}: --help gives its default as {default}");
+        }
+    }
+
+    #[test]
+    fn config_pairs_name_every_knob_and_read_back() {
+        let pairs = [
+            ("SLI_MEASURE_MS", "150"),
+            ("SLI_WARMUP_MS", "50"),
+            ("SLI_MAX_AGENTS", "3"),
+            ("SLI_TM1_SUBS", "5000"),
+            ("SLI_TPCB_BRANCHES", "7"),
+            ("SLI_TPCC_WAREHOUSES", "2"),
+            ("SLI_ROW_WORK_NS", "0"),
+            ("SLI_BACKEND", "mvcc"),
+            ("SLI_TRAFFIC_RATE", "1234.5"),
+            ("SLI_TRAFFIC_PATTERN", "bursty:20:30"),
+            ("SLI_TRAFFIC_SOAK_SECS", "9"),
+            ("SLI_TRAFFIC_WORKERS", "2"),
+            ("SLI_TORTURE_POINTS", "6"),
+            ("SLI_BENCH_DIR", "out"),
+        ];
+        for knobs in [
+            Knobs::from_lookup(lookup(&pairs)),
+            Knobs::from_lookup(lookup(&[("SLI_BENCH_DIR", "")])),
+        ] {
+            let printed = knobs.config_pairs();
+            let names: Vec<&str> = printed.iter().map(|(n, _)| n.as_str()).collect();
+            let listed: Vec<&str> = KNOB_HELP
+                .lines()
+                .filter_map(|l| l.split_whitespace().next())
+                .collect();
+            assert_eq!(names, listed, "one pair per --help knob, in order");
+            let borrowed: Vec<(&str, &str)> = printed
+                .iter()
+                .map(|(n, v)| (n.as_str(), v.as_str()))
+                .collect();
+            let back = Knobs::from_lookup(lookup(&borrowed));
+            assert_eq!(format!("{back:?}"), format!("{knobs:?}"));
         }
     }
 

@@ -8,7 +8,9 @@
 //! or (once the admission queue fills) shed arrivals.
 //!
 //! The ladder climbs fractions of a measured closed-loop capacity
-//! estimate; the **knee** is the first rung where the run diverges
+//! estimate — measured by the same driver, with the same profiler window
+//! and the same `attempts_per_sec` as the storms, so rung and capacity
+//! share one ruler; the **knee** is the first rung where the run diverges
 //! (shedding, a backlog that never drains, or achieved throughput
 //! falling well short of offered). Comparing the Baseline and PaperSli
 //! knees turns the paper's "SLI raises peak throughput" claim into a
@@ -19,50 +21,12 @@
 //! `SLI_TRAFFIC_SOAK_SECS`, `SLI_TRAFFIC_WORKERS`) are read into
 //! [`TrafficKnobs`] by [`Knobs::from_lookup`](crate::setup::Knobs::from_lookup).
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use sli_engine::{Database, Session};
-use sli_traffic::{
-    run_traffic, ArrivalPattern, BenchArtifact, Dashboard, OpenLoopWorkload, TrafficConfig,
-    TrafficReport, TxnOutcome,
-};
-use sli_workloads::{MixedWorkload, Outcome};
+use sli_traffic::{ArrivalPattern, Arrivals, Dashboard, LoadConfig};
 
-use crate::driver::{run_workload, RunConfig};
+use crate::driver::{run_workload, RunResult};
 use crate::setup::{tpcb_workload, tpcc_workloads, Knobs, LoadedWorkload};
-
-/// Adapter driving a [`MixedWorkload`] from the open-loop worker pool.
-pub struct EngineOpenLoop<'a> {
-    db: &'a Arc<Database>,
-    mix: &'a MixedWorkload,
-}
-
-impl<'a> EngineOpenLoop<'a> {
-    /// Wrap a loaded database + mix for open-loop driving.
-    pub fn new(db: &'a Arc<Database>, mix: &'a MixedWorkload) -> Self {
-        EngineOpenLoop { db, mix }
-    }
-}
-
-impl OpenLoopWorkload for EngineOpenLoop<'_> {
-    type Worker = (Session, SmallRng);
-
-    fn make_worker(&self, _worker_id: usize, seed: u64) -> Self::Worker {
-        (self.db.session(), SmallRng::seed_from_u64(seed))
-    }
-
-    fn run_one(&self, worker: &mut Self::Worker) -> TxnOutcome {
-        let (session, rng) = worker;
-        match self.mix.run_one(session, rng).1 {
-            Outcome::Commit => TxnOutcome::Commit,
-            Outcome::UserFail => TxnOutcome::UserFail,
-            Outcome::SysAbort => TxnOutcome::SysAbort,
-        }
-    }
-}
 
 /// Open-loop settings, part of [`Knobs`].
 #[derive(Clone, Debug)]
@@ -79,8 +43,6 @@ pub struct TrafficKnobs {
     pub queue_cap: usize,
     /// Worker-pool size (`SLI_TRAFFIC_WORKERS`).
     pub workers: usize,
-    /// Telemetry window length, ms (500).
-    pub window_ms: u64,
 }
 
 /// One rung of the traffic ladder.
@@ -125,24 +87,26 @@ pub fn storm(
     knobs: &Knobs,
     rate: f64,
     live: bool,
-) -> TrafficReport {
+) -> RunResult {
     let t = &knobs.traffic;
-    let measure = knobs.traffic_measure();
-    let cfg = TrafficConfig {
-        label: format!("{} [{policy}] @{rate:.0}/s {}", w.label, t.pattern.name()),
-        rate,
-        pattern: t.pattern,
+    let cfg = LoadConfig {
+        arrivals: Arrivals::Open {
+            rate,
+            pattern: t.pattern,
+            queue_cap: t.queue_cap,
+        },
         workers: t.workers,
-        queue_cap: t.queue_cap,
         warmup: knobs.warmup,
-        measure,
-        window_ms: t.window_ms,
+        measure: knobs.traffic_measure(),
         seed: 0x51AF_F1C0,
     };
-    let workload = EngineOpenLoop::new(&w.db, &w.mix);
-    let mut dash = Dashboard::new();
+    let mut dash = Dashboard::new(format!(
+        "{} [{policy}] @{rate:.0}/s {}",
+        w.label,
+        t.pattern.name()
+    ));
     let log_before = w.db.log_stats();
-    let report = run_traffic(&workload, &cfg, live.then_some(&mut dash));
+    let r = run_workload(&w.db, &w.mix, &cfg, live.then_some(&mut dash));
     // Group-commit telemetry for the storm: how well the log front-end
     // batched this rung's committers.
     let log_after = w.db.log_stats();
@@ -158,32 +122,21 @@ pub fn storm(
         log_after.commit_parks - log_before.commit_parks,
         log_after.steals - log_before.steals,
     );
-    let artifact = BenchArtifact {
-        experiment: "traffic".into(),
-        workload: format!("{}-{policy}-r{rate:.0}", w.label),
-        mode: "open-loop".into(),
-        config: vec![
+    let artifact = r.bench_artifact(
+        "traffic",
+        &format!("{}-{policy}-r{rate:.0}", w.label),
+        knobs,
+        vec![
             ("policy".into(), policy.into()),
-            ("pattern".into(), t.pattern.describe()),
-            ("rate".into(), format!("{rate:.0}")),
-            ("workers".into(), t.workers.to_string()),
-            ("queue_cap".into(), t.queue_cap.to_string()),
-            ("window_ms".into(), t.window_ms.to_string()),
-            (
-                "measure_secs".into(),
-                format!("{:.1}", measure.as_secs_f64()),
-            ),
             ("log_commits".into(), commits.to_string()),
             ("log_flushes".into(), flushes.to_string()),
             ("log_group_mean".into(), format!("{group:.2}")),
         ],
-        windows: report.windows.clone(),
-        summary: report.summary.clone(),
-    };
+    );
     if let Some(path) = artifact.emit(knobs.bench_dir.as_deref()) {
         println!("artifact: {}", path.display());
     }
-    report
+    r
 }
 
 /// The `traffic` experiment: calibrate capacity closed-loop, then climb
@@ -213,18 +166,9 @@ pub fn traffic(knobs: &Knobs) -> Vec<TrafficRow> {
             lw
         };
         // Capacity estimate: a short closed loop at the worker count the
-        // open loop will use.
-        let cal = run_workload(
-            &w.db,
-            &w.mix,
-            &RunConfig {
-                agents: t.workers,
-                warmup: knobs.warmup,
-                measure: knobs.measure,
-                seed: 0xCA11B,
-            },
-        );
-        let capacity = cal.attempts_per_sec;
+        // open loop will use, counted the way the knee counts.
+        let cal = run_workload(&w.db, &w.mix, &knobs.closed_loop(t.workers), None);
+        let capacity = cal.load.summary.attempts_per_sec;
         println!(
             "\n-- {label} [{policy}]: closed-loop capacity ≈ {capacity:.0}/s with {} workers --",
             t.workers
@@ -238,8 +182,8 @@ pub fn traffic(knobs: &Knobs) -> Vec<TrafficRow> {
         };
         let mut knee: Option<f64> = None;
         for rate in ladder {
-            let report = storm(&w, policy, knobs, rate, true);
-            let s = &report.summary;
+            let r = storm(&w, policy, knobs, rate, true);
+            let s = &r.load.summary;
             let div = diverged(s, t.queue_cap);
             if div && knee.is_none() {
                 knee = Some(rate);

@@ -1,7 +1,8 @@
 //! Log-stress gate: the scalable log front-end must *group* commits
 //! under open-loop TPC-B traffic without giving anything back — zero
 //! shed arrivals, and an open-loop commit p95 no worse than the
-//! closed-loop baseline measured on the same database (closed-loop
+//! closed-loop baseline measured on the same database by the same
+//! driver with the same profiler window (closed-loop
 //! committers saturate every flush, so their p95 is the convoying
 //! worst case the ring was built to beat).
 //!
@@ -11,11 +12,11 @@
 //! flush mutex.
 
 use sli_engine::Database;
-use sli_harness::driver::{run_workload, RunConfig};
+use sli_harness::driver::run_workload;
 use sli_harness::setup::{db_config, LoadedWorkload};
 use sli_harness::traffic::{storm, TrafficKnobs};
 use sli_harness::Knobs;
-use sli_traffic::ArrivalPattern;
+use sli_traffic::{ArrivalPattern, Arrivals, LoadConfig};
 use sli_workloads::tpcb::TpcB;
 
 use std::time::Duration;
@@ -48,15 +49,17 @@ fn open_loop_tpcb_groups_commits_without_shedding() {
     let cal = run_workload(
         &w.db,
         &w.mix,
-        &RunConfig {
-            agents: WORKERS,
+        &LoadConfig {
+            arrivals: Arrivals::Closed,
+            workers: WORKERS,
             warmup: Duration::from_millis(200),
             measure: Duration::from_secs(1),
             seed: 0xCA11B,
         },
+        None,
     );
-    let capacity = cal.attempts_per_sec;
-    let closed_p95 = cal.summary.p95_ns;
+    let capacity = cal.load.summary.attempts_per_sec;
+    let closed_p95 = cal.load.summary.p95_ns;
     assert!(capacity > 0.0 && closed_p95 > 0, "calibration ran");
 
     // Open-loop storm at the highest ladder rung below the knee (the
@@ -68,12 +71,11 @@ fn open_loop_tpcb_groups_commits_without_shedding() {
         soak: Some(Duration::from_secs(2)),
         queue_cap: 4096,
         workers: WORKERS,
-        window_ms: 250,
     };
     let before = w.db.log_stats();
-    let report = storm(&w, "baseline", &knobs, rate, false);
+    let r = storm(&w, "baseline", &knobs, rate, false);
     let after = w.db.log_stats();
-    let s = &report.summary;
+    let s = &r.load.summary;
 
     // Nothing given back: the front-end absorbed the offered rate.
     assert_eq!(s.shed, 0, "shed arrivals at {rate:.0}/s");

@@ -25,7 +25,6 @@ fn smoke_knobs(dir: &Path) -> Knobs {
             soak: Some(Duration::from_secs(2)),
             queue_cap: 1024,
             workers: 2,
-            window_ms: 250,
         },
         bench_dir: Some(dir.to_path_buf()),
         ..Knobs::smoke()
@@ -41,7 +40,8 @@ fn storm_sustains_configured_rate_and_emits_valid_artifact() {
     let knobs = smoke_knobs(&dir);
     let w = sli_harness::setup::tpcb_workload(&knobs, false);
 
-    let report = storm(&w, "baseline", &knobs, RATE, false);
+    let r = storm(&w, "baseline", &knobs, RATE, false);
+    let report = &r.load;
     let s = &report.summary;
 
     // Offered load matches the schedule: constant pattern, 2s measure.
@@ -81,7 +81,7 @@ fn storm_sustains_configured_rate_and_emits_valid_artifact() {
 
     // Windows cover the measured phase.
     assert!(
-        report.windows.len() as u64 >= 2_000 / knobs.traffic.window_ms,
+        report.windows.len() as u64 >= 2_000_000_000 / report.config.window_ns(),
         "expected full window coverage, got {}",
         report.windows.len()
     );

@@ -29,7 +29,7 @@ pub struct WindowStats {
     pub user_fails: u64,
     /// System aborts (deadlock/timeout victims).
     pub sys_aborts: u64,
-    /// Arrivals scheduled into this window (0 for closed-loop runs).
+    /// Arrivals scheduled into this window.
     pub offered: u64,
     /// Arrivals shed in this window (queue full).
     pub shed: u64,
@@ -95,11 +95,14 @@ pub struct Summary {
     pub sys_aborts: u64,
     /// Commits per second over the measured phase.
     pub commits_per_sec: f64,
-    /// Completed attempts per second over the measured phase.
+    /// Completed work per second over the measured phase: commits plus
+    /// benchmark-expected user failures (the paper's accounting; system
+    /// aborts are not completed work).
     pub attempts_per_sec: f64,
-    /// Arrivals offered during the measured phase (open loop only).
+    /// Arrivals scheduled during the measured phase (a closed loop
+    /// admits every one, so there it equals `completions()`).
     pub offered: u64,
-    /// Offered arrival rate per second (open loop only).
+    /// Offered arrival rate per second.
     pub offered_per_sec: f64,
     /// Arrivals shed during the measured phase.
     pub shed: u64,

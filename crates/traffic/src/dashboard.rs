@@ -14,16 +14,11 @@ use std::io::{IsTerminal, Write};
 use crate::artifact::{Summary, WindowStats};
 use crate::driver::Phase;
 
-/// Per-window console renderer.
+/// Per-window console renderer for one labelled run.
 pub struct Dashboard {
+    label: String,
     color: bool,
     header_printed: bool,
-}
-
-impl Default for Dashboard {
-    fn default() -> Self {
-        Dashboard::new()
-    }
 }
 
 const RESET: &str = "\x1b[0m";
@@ -34,18 +29,12 @@ const RED: &str = "\x1b[31m";
 const GREEN: &str = "\x1b[32m";
 
 impl Dashboard {
-    /// A dashboard that colorizes iff stdout is a terminal.
-    pub fn new() -> Self {
+    /// A dashboard for the run named `label` (shown in phase banners)
+    /// that colorizes iff stdout is a terminal.
+    pub fn new(label: impl Into<String>) -> Self {
         Dashboard {
+            label: label.into(),
             color: std::io::stdout().is_terminal(),
-            header_printed: false,
-        }
-    }
-
-    /// A plain-text dashboard regardless of terminal detection.
-    pub fn plain() -> Self {
-        Dashboard {
-            color: false,
             header_printed: false,
         }
     }
@@ -59,13 +48,16 @@ impl Dashboard {
     }
 
     /// Announce a phase transition.
-    pub fn phase(&mut self, phase: Phase, label: &str) {
+    pub fn phase(&mut self, phase: Phase) {
         let name = match phase {
             Phase::Warmup => "warm-up",
             Phase::Measure => "measure",
             Phase::Drain => "drain",
         };
-        println!("{}", self.paint(BOLD, &format!("── {name}: {label} ──")));
+        println!(
+            "{}",
+            self.paint(BOLD, &format!("── {name}: {} ──", self.label))
+        );
         self.header_printed = false;
     }
 

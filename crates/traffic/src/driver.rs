@@ -1,39 +1,43 @@
-//! Open-loop traffic driver: pacer → admission queue → worker pool →
-//! windowed telemetry.
+//! The load driver: one worker pool fed by one of two arrival sources,
+//! with windowed telemetry and one summary.
 //!
-//! Closed-loop drivers (N agents in a tight loop) let the system set
-//! the pace: when the engine slows down, the offered load politely
-//! slows with it, hiding the very overload a capacity study needs to
-//! see. The open-loop driver inverts that: a **pacer** thread releases
-//! arrivals on a fixed seeded schedule regardless of how the engine is
-//! doing; arrivals land in a bounded [`AdmissionQueue`] drained by a
-//! worker pool. When the engine keeps up, the queue stays shallow; when
-//! it cannot, backlog grows and eventually arrivals are shed — both
-//! measured per window, never hidden.
+//! A **closed** source is the paper's system of N agents (Section 5):
+//! each worker schedules its next arrival the moment it goes idle, so
+//! the engine sets the pace and the run answers "how fast can it go?".
+//! An **open** source inverts that: a pacer thread releases arrivals on
+//! a fixed seeded schedule regardless of how the engine is doing, into a
+//! bounded [`AdmissionQueue`] the workers drain. When the engine keeps
+//! up, the queue stays shallow; when it cannot, backlog grows and
+//! eventually arrivals are shed — both measured per window, never
+//! hidden.
 //!
 //! Latency is measured from the *scheduled arrival time*, not from
 //! dequeue, so queue wait is charged to the system (avoiding the
 //! coordinated-omission trap where a stalled server pauses the clock).
+//! A closed arrival is scheduled when its worker picks it up, so its
+//! latency is pure service time.
 //!
 //! A run moves through three phases: **warm-up** (arrivals flow, windows
 //! render, nothing counts), **measure** (arrivals count toward the
-//! summary), and **drain** (the pacer stops, workers finish the queued
-//! backlog, late completions still count). Soak mode is just a long
-//! measure phase — the phase machinery is identical.
+//! summary), and **drain** (no new arrivals; workers finish what was
+//! scheduled, and those late completions still count). Soak mode is just
+//! a long measure phase — the phase machinery is identical.
 //!
-//! An arrival belongs to the phase it was *scheduled* in, on both sides of
-//! the ledger: `offered`/`shed` are booked by scheduled time, and so is
-//! every completion — a warm-up arrival served after the boundary never
-//! enters the summary, however late the workers run, so
-//! `completions == offered - shed` holds exactly once the backlog drains.
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+//! Both sources share one ledger. An arrival belongs to the phase it was
+//! *scheduled* in: `offered`/`shed` are booked by scheduled time, and so
+//! is every completion — a warm-up arrival served after the boundary
+//! never enters the summary, however late the workers run, so
+//! `completions == offered - shed` holds exactly once the backlog
+//! drains. `attempts_per_sec` is the paper's accounting for both: commits
+//! plus benchmark-expected user failures; system aborts are completions
+//! but not completed work.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-use crate::artifact::{Summary, WindowStats};
+use crate::artifact::{BenchArtifact, Summary, WindowStats};
 use crate::dashboard::Dashboard;
 use crate::hist::Hist;
 use crate::queue::AdmissionQueue;
@@ -47,14 +51,15 @@ pub enum Phase {
     Warmup,
     /// Windows accumulate into the summary.
     Measure,
-    /// The pacer has stopped; workers drain the admitted backlog.
+    /// No new arrivals; workers finish what was already scheduled.
     Drain,
 }
 
-/// The workload an open-loop worker executes, one transaction per
-/// admitted arrival. Implementations wrap an engine session; the driver
-/// itself has no engine dependency.
-pub trait OpenLoopWorkload: Sync {
+/// The work a driver worker executes, one transaction per arrival.
+/// Implementations wrap an engine session; the driver itself has no
+/// engine dependency. The three hooks let an implementation bracket
+/// exactly the measured phase (profiler windows, counter snapshots).
+pub trait Workload: Sync {
     /// Per-worker state (an engine session plus its rng). Built inside
     /// the worker thread, so it need not be `Send`.
     type Worker;
@@ -65,50 +70,65 @@ pub trait OpenLoopWorkload: Sync {
 
     /// Execute one transaction and classify its outcome.
     fn run_one(&self, worker: &mut Self::Worker) -> TxnOutcome;
+
+    /// On the worker thread, just before its first measured arrival
+    /// runs. Not called for a worker that serves no measured arrival.
+    fn begin_measure(&self, _worker: &mut Self::Worker) {}
+
+    /// On the worker thread, after its last arrival.
+    fn retire(&self, _worker: Self::Worker) {}
+
+    /// On the driving thread, once the run clock reaches the measure
+    /// boundary ([`Phase::Measure`]) and once it reaches the horizon
+    /// ([`Phase::Drain`]), in that order.
+    fn phase(&self, _phase: Phase) {}
 }
 
-/// Configuration for one open-loop run.
+/// Where a run's arrivals come from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Arrivals {
+    /// Each worker schedules its next arrival when it goes idle.
+    Closed,
+    /// A pacer releases a seeded schedule into an admission queue.
+    Open {
+        /// Target mean arrival rate, per second.
+        rate: f64,
+        /// Arrival process shape.
+        pattern: ArrivalPattern,
+        /// Admission-queue bound (rounded up to a power of two).
+        queue_cap: usize,
+    },
+}
+
+/// Configuration for one run.
 #[derive(Clone, Debug)]
-pub struct TrafficConfig {
-    /// Human label for banners and artifacts.
-    pub label: String,
-    /// Target mean arrival rate, per second.
-    pub rate: f64,
-    /// Arrival process shape.
-    pub pattern: ArrivalPattern,
-    /// Worker-pool size.
+pub struct LoadConfig {
+    /// Arrival source.
+    pub arrivals: Arrivals,
+    /// Worker-pool size (the paper's agents for a closed source).
     pub workers: usize,
-    /// Admission-queue bound (rounded up to a power of two).
-    pub queue_cap: usize,
     /// Warm-up length (rounded up to whole windows).
     pub warmup: Duration,
     /// Measured length.
     pub measure: Duration,
-    /// Telemetry window length, ms.
-    pub window_ms: u64,
     /// Run seed (drives the schedule and, derived, each worker).
     pub seed: u64,
 }
 
-impl Default for TrafficConfig {
-    fn default() -> Self {
-        TrafficConfig {
-            label: String::new(),
-            rate: 1000.0,
-            pattern: ArrivalPattern::Poisson,
-            workers: 4,
-            queue_cap: 4096,
-            warmup: Duration::from_secs(1),
-            measure: Duration::from_secs(5),
-            window_ms: 1000,
-            seed: 0x51AF_F1C0,
-        }
+impl LoadConfig {
+    /// Telemetry window length: an eighth of the measured phase,
+    /// clamped to [10 ms, 1 s] — smoke runs still get several windows,
+    /// long runs get the canonical one-second grid.
+    pub fn window_ns(&self) -> u64 {
+        ((self.measure.as_nanos() as u64) / 8).clamp(10_000_000, 1_000_000_000)
     }
 }
 
-/// The result of one open-loop run.
+/// The result of one run.
 #[derive(Clone, Debug)]
-pub struct TrafficReport {
+pub struct LoadReport {
+    /// The configuration that produced the run.
+    pub config: LoadConfig,
     /// Warm-up windows (rendered, not summarized).
     pub warmup_windows: Vec<WindowStats>,
     /// Measured + drain windows, contiguous from the measure boundary.
@@ -117,36 +137,78 @@ pub struct TrafficReport {
     pub summary: Summary,
 }
 
-/// Pacer-side per-window offered/shed book. The pacer is the only
-/// writer; it locks once per window rollover, the collector locks once
-/// per drain.
-struct OfferedBook {
-    by_window: Mutex<BTreeMap<u64, (u64, u64)>>,
+impl LoadReport {
+    /// Package this run as a benchmark artifact: the driver's own
+    /// settings are appended to the caller's `config` pairs.
+    pub fn artifact(
+        &self,
+        experiment: &str,
+        workload: &str,
+        mut config: Vec<(String, String)>,
+    ) -> BenchArtifact {
+        let c = &self.config;
+        config.push(("workers".into(), c.workers.to_string()));
+        config.push(("window_ms".into(), (c.window_ns() / 1_000_000).to_string()));
+        config.push((
+            "measure_secs".into(),
+            format!("{:.1}", c.measure.as_secs_f64()),
+        ));
+        let mode = match c.arrivals {
+            Arrivals::Closed => "closed-loop",
+            Arrivals::Open {
+                rate,
+                pattern,
+                queue_cap,
+            } => {
+                config.push(("rate".into(), format!("{rate:.0}")));
+                config.push(("pattern".into(), pattern.describe()));
+                config.push(("queue_cap".into(), queue_cap.to_string()));
+                "open-loop"
+            }
+        };
+        BenchArtifact {
+            experiment: experiment.to_string(),
+            workload: workload.to_string(),
+            mode: mode.into(),
+            config,
+            windows: self.windows.clone(),
+            summary: self.summary.clone(),
+        }
+    }
 }
 
-impl OfferedBook {
-    fn new() -> Self {
-        OfferedBook {
-            by_window: Mutex::new(BTreeMap::new()),
+/// Per-window `(offered, shed)` book. Each booking thread (the pacer,
+/// or every closed-loop worker) locks it once per window rollover; the
+/// collector locks it once per drain.
+type OfferedBook = Mutex<BTreeMap<u64, (u64, u64)>>;
+
+/// One thread's offered/shed count for the window it is booking into.
+#[derive(Default)]
+struct Booking {
+    wid: u64,
+    offered: u64,
+    shed: u64,
+}
+
+impl Booking {
+    fn count(&mut self, book: &OfferedBook, wid: u64, shed: bool) {
+        if wid != self.wid {
+            self.flush(book);
+            self.wid = wid;
         }
+        self.offered += 1;
+        self.shed += u64::from(shed);
     }
 
-    fn flush(&self, wid: u64, offered: u64, shed: u64) {
-        if offered == 0 && shed == 0 {
+    fn flush(&mut self, book: &OfferedBook) {
+        if self.offered == 0 {
             return;
         }
-        let mut m = self.by_window.lock().expect("offered book");
-        let e = m.entry(wid).or_insert((0, 0));
-        e.0 += offered;
-        e.1 += shed;
-    }
-
-    fn take(&self, wid: u64) -> (u64, u64) {
-        self.by_window
-            .lock()
-            .expect("offered book")
-            .remove(&wid)
-            .unwrap_or((0, 0))
+        let mut m = book.lock().expect("offered book");
+        let e = m.entry(self.wid).or_insert((0, 0));
+        e.0 += self.offered;
+        e.1 += self.shed;
+        (self.offered, self.shed) = (0, 0);
     }
 }
 
@@ -154,16 +216,15 @@ fn elapsed_ns(epoch: Instant) -> u64 {
     epoch.elapsed().as_nanos() as u64
 }
 
-/// Run one open-loop storm to completion and return its report. Pass a
-/// [`Dashboard`] to render live; pass `None` for silent runs (tests).
-pub fn run_traffic<W: OpenLoopWorkload>(
+/// Run `workload` under `cfg` to completion and return its report. Pass
+/// a [`Dashboard`] to render live; pass `None` for silent runs.
+pub fn run_load<W: Workload>(
     workload: &W,
-    cfg: &TrafficConfig,
+    cfg: &LoadConfig,
     mut dash: Option<&mut Dashboard>,
-) -> TrafficReport {
+) -> LoadReport {
     assert!(cfg.workers > 0, "need at least one worker");
-    assert!(cfg.window_ms > 0, "window must be positive");
-    let window_ns = cfg.window_ms * 1_000_000;
+    let window_ns = cfg.window_ns();
     // Round warm-up to whole windows so the measure boundary is a
     // window boundary.
     let warmup_windows = (cfg.warmup.as_nanos() as u64).div_ceil(window_ns);
@@ -171,81 +232,67 @@ pub fn run_traffic<W: OpenLoopWorkload>(
     let horizon_ns = measure_start_ns + cfg.measure.as_nanos() as u64;
 
     let telemetry = Telemetry::new(window_ns);
-    let queue = Arc::new(AdmissionQueue::new(cfg.queue_cap));
-    let book = OfferedBook::new();
-    // Exact count of arrivals scheduled inside the measured phase.
-    let offered_measured = AtomicU64::new(0);
-    let shed_measured = AtomicU64::new(0);
+    let queue = match cfg.arrivals {
+        Arrivals::Open { queue_cap, .. } => Some(AdmissionQueue::new(queue_cap)),
+        Arrivals::Closed => None,
+    };
+    let queue = queue.as_ref();
+    let book = &OfferedBook::default();
     let active_workers = AtomicUsize::new(cfg.workers);
     let epoch = Instant::now();
 
     if let Some(d) = dash.as_deref_mut() {
-        d.phase(Phase::Warmup, &cfg.label);
+        d.phase(Phase::Warmup);
     }
 
-    let mut report = TrafficReport {
+    let mut report = LoadReport {
+        config: cfg.clone(),
         warmup_windows: Vec::new(),
         windows: Vec::new(),
         summary: Summary::default(),
     };
 
-    let measured = std::thread::scope(|s| {
-        // --- pacer ---------------------------------------------------
-        {
-            let queue = Arc::clone(&queue);
-            let book = &book;
-            let offered_measured = &offered_measured;
-            let shed_measured = &shed_measured;
-            let mut sched = ArrivalSchedule::new(cfg.pattern, cfg.rate, cfg.seed);
-            s.spawn(move || {
-                let mut next = sched.next_arrival_ns();
-                let (mut wid, mut offered, mut shed) = (0u64, 0u64, 0u64);
-                'pace: loop {
-                    let now = elapsed_ns(epoch);
-                    // Release everything that is due. Timestamps stay
-                    // exact even though the pacer wakes on a ~1ms grid:
-                    // latency is measured from the scheduled time.
-                    while next <= now {
-                        if next >= horizon_ns {
-                            break 'pace;
+    let (measured, paced) = std::thread::scope(|s| {
+        // --- pacer (open source) -------------------------------------
+        // Returns the (offered, shed) count of measured arrivals.
+        let pacer = match cfg.arrivals {
+            Arrivals::Open { rate, pattern, .. } => {
+                let queue = queue.expect("open source has a queue");
+                let mut sched = ArrivalSchedule::new(pattern, rate, cfg.seed);
+                Some(s.spawn(move || {
+                    let mut booking = Booking::default();
+                    let (mut offered, mut shed) = (0u64, 0u64);
+                    let mut next = sched.next_arrival_ns();
+                    while next < horizon_ns {
+                        let now = elapsed_ns(epoch);
+                        if next > now {
+                            let gap_ns = (next - now).clamp(100_000, 1_000_000);
+                            // sli-lint: allow(sleep) — pacing wait between arrivals
+                            std::thread::sleep(Duration::from_nanos(gap_ns));
+                            continue;
                         }
-                        let w = next / window_ns;
-                        if w != wid {
-                            book.flush(wid, offered, shed);
-                            (wid, offered, shed) = (w, 0, 0);
-                        }
-                        offered += 1;
+                        // Release everything that is due. Timestamps stay
+                        // exact even though the pacer wakes on a ~1ms grid:
+                        // latency is measured from the scheduled time.
                         let ok = queue.push_or_shed(next).is_ok();
-                        if !ok {
-                            shed += 1;
-                        }
+                        booking.count(book, next / window_ns, !ok);
                         if next >= measure_start_ns {
-                            // ordering: monotonic telemetry counters,
-                            // read only after the scope joins.
-                            offered_measured.fetch_add(1, Ordering::Relaxed);
-                            if !ok {
-                                // ordering: as above.
-                                shed_measured.fetch_add(1, Ordering::Relaxed);
-                            }
+                            offered += 1;
+                            shed += u64::from(!ok);
                         }
                         next = sched.next_arrival_ns();
                     }
-                    if next >= horizon_ns {
-                        break;
-                    }
-                    let gap_ns = (next - now).clamp(100_000, 1_000_000);
-                    // sli-lint: allow(sleep) — pacing wait between arrivals
-                    std::thread::sleep(Duration::from_nanos(gap_ns));
-                }
-                book.flush(wid, offered, shed);
-                queue.close();
-            });
-        }
+                    booking.flush(book);
+                    queue.close();
+                    (offered, shed)
+                }))
+            }
+            Arrivals::Closed => None,
+        };
 
         // --- workers -------------------------------------------------
         let mut workers = Vec::with_capacity(cfg.workers);
         for worker_id in 0..cfg.workers {
-            let queue = Arc::clone(&queue);
             let mut rec = telemetry.recorder();
             let active = &active_workers;
             let seed = cfg
@@ -257,11 +304,33 @@ pub fn run_traffic<W: OpenLoopWorkload>(
                 // This worker's share of the summary: every arrival
                 // scheduled in the measure phase, whenever it completes.
                 let mut measured = WindowCore::default();
-                while let Some(scheduled_ns) = queue.pop_wait() {
+                let mut measuring = false;
+                let mut booking = Booking::default();
+                loop {
+                    let scheduled_ns = match queue {
+                        Some(q) => match q.pop_wait() {
+                            Some(t) => t,
+                            None => break,
+                        },
+                        None => {
+                            // Closed source: the next arrival is now.
+                            let now = elapsed_ns(epoch);
+                            if now >= horizon_ns {
+                                break;
+                            }
+                            booking.count(book, now / window_ns, false);
+                            now
+                        }
+                    };
+                    let in_measure = scheduled_ns >= measure_start_ns;
+                    if in_measure && !measuring {
+                        measuring = true;
+                        workload.begin_measure(&mut worker);
+                    }
                     let outcome = workload.run_one(&mut worker);
                     let now = elapsed_ns(epoch);
                     let latency = now.saturating_sub(scheduled_ns);
-                    if scheduled_ns >= measure_start_ns {
+                    if in_measure {
                         measured.record(outcome, latency);
                         rec.record(now, outcome, latency);
                     } else {
@@ -270,7 +339,9 @@ pub fn run_traffic<W: OpenLoopWorkload>(
                         rec.record(now.min(measure_start_ns - 1), outcome, latency);
                     }
                 }
+                booking.flush(book);
                 rec.flush();
+                workload.retire(worker);
                 // ordering: Release pairs with the collector's Acquire
                 // load so our final flush is visible before it observes
                 // the pool as done.
@@ -281,6 +352,11 @@ pub fn run_traffic<W: OpenLoopWorkload>(
 
         // --- collector (this thread) --------------------------------
         let mut next_wid = 0u64; // next window to emit
+        let boundaries = [
+            (measure_start_ns, Phase::Measure),
+            (horizon_ns, Phase::Drain),
+        ];
+        let mut hooked = 0; // boundaries whose hook has run
         let mut measure_announced = false;
         let mut drain_announced = false;
         loop {
@@ -289,6 +365,15 @@ pub fn run_traffic<W: OpenLoopWorkload>(
             // visible and drain_rest sees all samples.
             let workers_done = active_workers.load(Ordering::Acquire) == 0;
             let now = elapsed_ns(epoch);
+            // Workers finish only after the last arrival, so a finished
+            // pool has crossed both boundaries even if the clock has not.
+            while let Some(&(at, phase)) = boundaries.get(hooked) {
+                if now < at && !workers_done {
+                    break;
+                }
+                workload.phase(phase);
+                hooked += 1;
+            }
             // A window is safe to drain once real time is 25% past its
             // end — recorders flush on their first sample of the next
             // window, and the late catch-all conserves any stragglers.
@@ -309,17 +394,22 @@ pub fn run_traffic<W: OpenLoopWorkload>(
                 } else {
                     upto.saturating_sub(1).max(next_wid)
                 };
+                let depth = depth_of(queue);
                 for wid in next_wid..=end {
                     if workers_done && wid > last && cores.is_empty() {
                         break;
                     }
                     let core = cores.remove(&wid).unwrap_or_default();
-                    let (offered, shed) = book.take(wid);
-                    let stats = WindowStats::from_core(wid, &core, offered, shed, queue.depth());
+                    let (offered, shed) = book
+                        .lock()
+                        .expect("offered book")
+                        .remove(&wid)
+                        .unwrap_or_default();
+                    let stats = WindowStats::from_core(wid, &core, offered, shed, depth);
                     if !measure_announced && wid >= warmup_windows {
                         measure_announced = true;
                         if let Some(d) = dash.as_deref_mut() {
-                            d.phase(Phase::Measure, &cfg.label);
+                            d.phase(Phase::Measure);
                         }
                     }
                     if let Some(d) = dash.as_deref_mut() {
@@ -336,21 +426,26 @@ pub fn run_traffic<W: OpenLoopWorkload>(
             if workers_done {
                 break;
             }
+            // Announce the drain phase once the horizon has passed and
+            // backlog remains.
             if let Some(d) = dash.as_deref_mut() {
-                // Announce the drain phase once the pacer's horizon has
-                // passed and backlog remains.
-                if now >= horizon_ns && queue.depth() > 0 && !drain_announced {
-                    d.phase(Phase::Drain, &cfg.label);
+                if now >= horizon_ns && depth_of(queue) > 0 && !drain_announced {
+                    d.phase(Phase::Drain);
                     drain_announced = true;
                 }
             }
+            // Tick a few times per window, waking on time for a hook.
+            let to_hook = boundaries.get(hooked).map_or(u64::MAX, |b| b.0 - now);
+            let tick = (window_ns / 4).max(5_000_000).min(to_hook.max(50_000));
             // sli-lint: allow(sleep) — collector ticks on window edges
-            std::thread::sleep(Duration::from_millis((cfg.window_ms / 4).max(5)));
+            std::thread::sleep(Duration::from_nanos(tick));
         }
-        workers
+        let measured: Vec<WindowCore> = workers
             .into_iter()
-            .map(|w| w.join().expect("open-loop worker panicked"))
-            .collect::<Vec<WindowCore>>()
+            .map(|w| w.join().expect("load worker panicked"))
+            .collect();
+        let paced = pacer.map(|p| p.join().expect("pacer panicked"));
+        (measured, paced)
     });
 
     // --- summary -----------------------------------------------------
@@ -364,21 +459,23 @@ pub fn run_traffic<W: OpenLoopWorkload>(
             total_hist.merge(h);
         }
     }
+    // A closed source admits every arrival it schedules.
+    (s.offered, s.shed) = paced.unwrap_or((s.completions(), 0));
     s.measure_secs = cfg.measure.as_secs_f64();
-    // ordering: the scope has joined every thread; Relaxed reads see
-    // the final counter values.
-    s.offered = offered_measured.load(Ordering::Relaxed);
-    // ordering: as above.
-    s.shed = shed_measured.load(Ordering::Relaxed);
-    s.offered_per_sec = s.offered as f64 / s.measure_secs.max(1e-9);
-    s.commits_per_sec = s.commits as f64 / s.measure_secs.max(1e-9);
-    s.attempts_per_sec = s.completions() as f64 / s.measure_secs.max(1e-9);
-    s.final_depth = queue.depth();
+    let secs = s.measure_secs.max(1e-9);
+    s.offered_per_sec = s.offered as f64 / secs;
+    s.commits_per_sec = s.commits as f64 / secs;
+    s.attempts_per_sec = (s.commits + s.user_fails) as f64 / secs;
+    s.final_depth = depth_of(queue);
     s.set_latency(&total_hist);
     if let Some(d) = dash {
         d.summary(s);
     }
     report
+}
+
+fn depth_of(queue: Option<&AdmissionQueue>) -> u64 {
+    queue.map_or(0, AdmissionQueue::depth)
 }
 
 #[cfg(test)]
@@ -388,7 +485,7 @@ mod tests {
     /// A no-op workload: every transaction commits instantly.
     struct Instant0;
 
-    impl OpenLoopWorkload for Instant0 {
+    impl Workload for Instant0 {
         type Worker = ();
         fn make_worker(&self, _id: usize, _seed: u64) {}
         fn run_one(&self, _w: &mut ()) -> TxnOutcome {
@@ -396,20 +493,24 @@ mod tests {
         }
     }
 
+    fn open(rate: f64, queue_cap: usize) -> Arrivals {
+        Arrivals::Open {
+            rate,
+            pattern: ArrivalPattern::Constant,
+            queue_cap,
+        }
+    }
+
     #[test]
     fn open_loop_conserves_admitted_arrivals() {
-        let cfg = TrafficConfig {
-            label: "test".into(),
-            rate: 2000.0,
-            pattern: ArrivalPattern::Constant,
+        let cfg = LoadConfig {
+            arrivals: open(2000.0, 1024),
             workers: 2,
-            queue_cap: 1024,
             warmup: Duration::from_millis(100),
             measure: Duration::from_millis(400),
-            window_ms: 100,
             seed: 42,
         };
-        let report = run_traffic(&Instant0, &cfg, None);
+        let report = run_load(&Instant0, &cfg, None);
         let s = &report.summary;
         // Every admitted measured arrival completes (the workload is
         // instant), so completions == offered - shed exactly.
@@ -432,7 +533,7 @@ mod tests {
     /// Every transaction busy-waits, so one worker falls behind the pacer.
     struct Slow(Duration);
 
-    impl OpenLoopWorkload for Slow {
+    impl Workload for Slow {
         type Worker = ();
         fn make_worker(&self, _id: usize, _seed: u64) {}
         fn run_one(&self, _w: &mut ()) -> TxnOutcome {
@@ -449,18 +550,14 @@ mod tests {
         // 5000/s offered against ~2500/s of capacity: by the measure
         // boundary ~250 warm-up arrivals are still queued, and all of them
         // complete inside the measure phase.
-        let cfg = TrafficConfig {
-            label: "test".into(),
-            rate: 5000.0,
-            pattern: ArrivalPattern::Constant,
+        let cfg = LoadConfig {
+            arrivals: open(5000.0, 4096),
             workers: 1,
-            queue_cap: 4096,
             warmup: Duration::from_millis(100),
             measure: Duration::from_millis(200),
-            window_ms: 100,
             seed: 7,
         };
-        let report = run_traffic(&Slow(Duration::from_micros(400)), &cfg, None);
+        let report = run_load(&Slow(Duration::from_micros(400)), &cfg, None);
         let s = &report.summary;
         assert_eq!(s.shed, 0);
         assert_eq!(s.offered, 1000);
@@ -471,5 +568,159 @@ mod tests {
         assert!(windows_total <= s.completions());
         let warmup_total: u64 = report.warmup_windows.iter().map(|w| w.completions()).sum();
         assert!(warmup_total <= 500);
+    }
+
+    /// Every fourth arrival a worker serves is a system abort, every
+    /// fourth (offset by one) a user failure; the rest commit.
+    struct AbortShare;
+
+    impl Workload for AbortShare {
+        type Worker = u64;
+        fn make_worker(&self, _id: usize, _seed: u64) -> u64 {
+            0
+        }
+        fn run_one(&self, n: &mut u64) -> TxnOutcome {
+            *n += 1;
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(20) {
+                std::hint::spin_loop();
+            }
+            match *n % 4 {
+                0 => TxnOutcome::SysAbort,
+                1 => TxnOutcome::UserFail,
+                _ => TxnOutcome::Commit,
+            }
+        }
+    }
+
+    #[test]
+    fn attempts_count_commits_and_user_fails_from_either_source() {
+        for arrivals in [Arrivals::Closed, open(2000.0, 4096)] {
+            let cfg = LoadConfig {
+                arrivals,
+                workers: 2,
+                warmup: Duration::from_millis(50),
+                measure: Duration::from_millis(200),
+                seed: 3,
+            };
+            let s = run_load(&AbortShare, &cfg, None).summary;
+            assert!(s.sys_aborts > 0 && s.user_fails > 0, "{arrivals:?}: {s:?}");
+            let secs = cfg.measure.as_secs_f64();
+            let paper = (s.commits + s.user_fails) as f64 / secs;
+            assert!(
+                (s.attempts_per_sec - paper).abs() < 1e-6,
+                "{arrivals:?}: attempts/s {} is not (commits + user fails)/s {paper}",
+                s.attempts_per_sec
+            );
+            assert!(s.attempts_per_sec < s.completions() as f64 / secs);
+            assert_eq!(s.completions(), s.offered - s.shed, "{arrivals:?}");
+        }
+    }
+
+    /// A closed-loop workload that counts, per worker, the outcomes it
+    /// produced before and after its `begin_measure` hook, and records
+    /// the phase hooks it saw.
+    #[derive(Default)]
+    struct Counted {
+        /// Per retired worker: (warm-up outcomes, measured outcomes).
+        retired: Mutex<Vec<(WindowCore, WindowCore)>>,
+        phases: Mutex<Vec<Phase>>,
+    }
+
+    struct CountedWorker {
+        n: u64,
+        measuring: bool,
+        warmup: WindowCore,
+        measured: WindowCore,
+    }
+
+    impl Workload for Counted {
+        type Worker = CountedWorker;
+        fn make_worker(&self, _id: usize, _seed: u64) -> CountedWorker {
+            CountedWorker {
+                n: 0,
+                measuring: false,
+                warmup: WindowCore::default(),
+                measured: WindowCore::default(),
+            }
+        }
+        fn run_one(&self, w: &mut CountedWorker) -> TxnOutcome {
+            w.n += 1;
+            let t0 = Instant::now();
+            while t0.elapsed() < Duration::from_micros(50) {
+                std::hint::spin_loop();
+            }
+            let outcome = match w.n % 5 {
+                0 => TxnOutcome::SysAbort,
+                1 => TxnOutcome::UserFail,
+                _ => TxnOutcome::Commit,
+            };
+            let side = if w.measuring {
+                &mut w.measured
+            } else {
+                &mut w.warmup
+            };
+            side.record(outcome, 1);
+            outcome
+        }
+        fn begin_measure(&self, w: &mut CountedWorker) {
+            assert!(!w.measuring, "begin_measure runs once per worker");
+            w.measuring = true;
+        }
+        fn retire(&self, w: CountedWorker) {
+            self.retired.lock().unwrap().push((w.warmup, w.measured));
+        }
+        fn phase(&self, phase: Phase) {
+            self.phases.lock().unwrap().push(phase);
+        }
+    }
+
+    #[test]
+    fn closed_source_summary_is_exactly_the_workers_measured_outcomes() {
+        let cfg = LoadConfig {
+            arrivals: Arrivals::Closed,
+            workers: 3,
+            warmup: Duration::from_millis(30),
+            measure: Duration::from_millis(120),
+            seed: 11,
+        };
+        let workload = Counted::default();
+        let report = run_load(&workload, &cfg, None);
+        let s = &report.summary;
+        let retired = workload.retired.into_inner().unwrap();
+        assert_eq!(retired.len(), 3, "every worker retired");
+        let mut warm = WindowCore::default();
+        let mut meas = WindowCore::default();
+        for (w, m) in &retired {
+            for (sum, part) in [(&mut warm, w), (&mut meas, m)] {
+                sum.commits += part.commits;
+                sum.user_fails += part.user_fails;
+                sum.sys_aborts += part.sys_aborts;
+            }
+        }
+        // Warm-up arrivals ran but stayed out of the summary.
+        assert!(warm.completions() > 0, "warm-up ran");
+        assert_eq!(
+            (s.commits, s.user_fails, s.sys_aborts),
+            (meas.commits, meas.user_fails, meas.sys_aborts),
+            "summary == sum of the workers' measured outcomes"
+        );
+        assert!(s.commits > 0 && s.user_fails > 0 && s.sys_aborts > 0);
+        // A closed source admits every arrival it schedules.
+        assert_eq!(s.offered, s.completions());
+        assert_eq!((s.shed, s.final_depth), (0, 0));
+        let windows_total: u64 = report.windows.iter().map(|w| w.completions()).sum();
+        assert!(windows_total <= s.completions());
+        // Each phase hook fires once, in order.
+        assert_eq!(
+            workload.phases.into_inner().unwrap(),
+            [Phase::Measure, Phase::Drain]
+        );
+        // Closed-loop latency is service time: at least the 50 us spin.
+        assert!(s.p50_ns >= 50_000, "p50 {} ns", s.p50_ns);
+        // Windows are numbered from the run epoch; the measured ones start
+        // at the rounded warm-up boundary.
+        let first = report.windows.first().expect("measured windows").index;
+        assert_eq!(first, 30_000_000u64.div_ceil(cfg.window_ns()));
     }
 }

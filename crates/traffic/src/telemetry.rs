@@ -144,11 +144,6 @@ impl Telemetry {
         self.window_ns
     }
 
-    /// The window id containing time `now_ns`.
-    pub fn window_of(&self, now_ns: u64) -> u64 {
-        now_ns / self.window_ns
-    }
-
     /// A new recorder bound to this hub. One per worker thread.
     pub fn recorder(self: &Arc<Self>) -> Recorder {
         Recorder {

@@ -14,25 +14,28 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sli::engine::{Database, DatabaseConfig};
-use sli::harness::driver::{run_workload, RunConfig};
+use sli::harness::driver::run_workload;
+use sli::traffic::{Arrivals, LoadConfig};
 use sli::workloads::tm1::Tm1;
 
 fn drive(label: &str, config: DatabaseConfig, agents: usize) {
     let db = Database::open(config);
     let tm1 = Tm1::load(&db, 50_000, 7);
     let mix = tm1.ndbb_mix();
-    let cfg = RunConfig {
-        agents,
+    let cfg = LoadConfig {
+        arrivals: Arrivals::Closed,
+        workers: agents,
         warmup: Duration::from_millis(200),
         measure: Duration::from_millis(500),
         seed: 1,
     };
-    let r = run_workload(&db, &mix, &cfg);
+    let r = run_workload(&db, &mix, &cfg, None);
+    let s = &r.load.summary;
     let (lm_work, lm_cont) = r.lockmgr_fractions();
     println!(
         "{label:>9}: {:>9.0} txn/s  (commit rate {:.1}%, lockmgr work {:.1}%, lockmgr contention {:.1}%)",
-        r.attempts_per_sec,
-        100.0 * r.commits as f64 / (r.commits + r.user_fails).max(1) as f64,
+        s.attempts_per_sec,
+        100.0 * s.commits as f64 / (s.commits + s.user_fails).max(1) as f64,
         lm_work * 100.0,
         lm_cont * 100.0,
     );
