@@ -24,6 +24,13 @@ macro_rules! shim_atomic {
                 Self { inner: <$std>::new(v) }
             }
 
+            /// Exclusive access needs no schedule point: no other thread
+            /// can observe the value while `&mut self` is held.
+            #[inline]
+            pub fn get_mut(&mut self) -> &mut $prim {
+                self.inner.get_mut()
+            }
+
             #[inline]
             fn addr(&self) -> usize {
                 self as *const Self as usize

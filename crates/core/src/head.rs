@@ -155,16 +155,8 @@ impl LockQueue {
         };
         let r = self.reqs.remove(pos);
         match r.status() {
-            RequestStatus::Granted => {
+            RequestStatus::Granted | RequestStatus::Inherited => {
                 self.dec_granted(r.mode());
-            }
-            RequestStatus::Inherited => {
-                self.dec_granted(r.mode());
-                // Unlinking an Inherited request without going through
-                // `invalidate_inherited` only happens on the owner's own
-                // discard path (release-from-Inherited), which pairs with
-                // the inc at inheritance time.
-                self.word.dec_inherited();
             }
             RequestStatus::Converting => {
                 self.dec_granted(r.mode());
@@ -327,7 +319,6 @@ impl LockQueue {
             return false;
         }
         self.dec_granted(req.mode());
-        self.word.dec_inherited();
         if let Some(pos) = self.reqs.iter().position(|r| Arc::ptr_eq(r, req)) {
             self.reqs.remove(pos);
         }
@@ -783,9 +774,6 @@ mod tests {
         /// Test helper: push a request that is already Inherited.
         pub(crate) fn push_granted_raw_for_test(&mut self, req: Arc<LockRequest>) {
             assert!(req.status().holds_lock());
-            if req.status() == RequestStatus::Inherited {
-                self.word.inc_inherited();
-            }
             self.granted_counts[req.mode() as usize] += 1;
             self.reqs.push(req);
             self.publish();

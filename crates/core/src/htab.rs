@@ -215,13 +215,6 @@ mod tests {
         h.latch().push_granted(req.clone());
         assert_eq!(t.quiescent_heads(), Err(page), "a holder is not idle");
         h.latch().release(&req, &stats);
-        h.grant_word().inc_inherited();
-        assert_eq!(
-            t.quiescent_heads(),
-            Err(page),
-            "an inherited count is not idle"
-        );
-        h.grant_word().dec_inherited();
         assert_eq!(t.quiescent_heads(), Ok(2));
         let rec = LockId::Record(TableId(1), 0, 0);
         t.get_or_create(rec);

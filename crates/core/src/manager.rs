@@ -133,29 +133,18 @@ impl LockManager {
         // Validate coarse-to-fine so each child can consult its parent.
         agent.inherited.sort_by_key(|(r, _)| r.lock_id().level());
         let entries = std::mem::take(&mut agent.inherited);
-        // Hand-off lists are small (<= MAX_INHERITED_PER_TXN); a linear
-        // scan beats hashing on this hot path.
-        let mut valid: Vec<(LockId, bool)> = Vec::with_capacity(entries.len());
         for (req, head) in entries {
             let id = req.lock_id();
-            // A parent that is absent from the hand-off means it was
-            // invalidated and collected earlier: the child is an orphan.
-            let parent_ok = match id.parent() {
-                None => true,
-                Some(p) => valid
-                    .iter()
-                    .find(|(vid, _)| *vid == p)
-                    .map(|(_, ok)| *ok)
-                    .unwrap_or(false),
-            };
+            // The freshly reset cache holds exactly the hand-off entries
+            // validated so far, parents first. A parent missing from it was
+            // invalidated (now or earlier): the child is an orphan.
+            let parent_ok = id.parent().is_none_or(|p| ts.cache.contains_key(&p));
             let st = req.status();
             if st == RequestStatus::Inherited && parent_ok {
-                valid.push((id, true));
                 ts.cache
                     .insert(id, Entry::Queued(Arc::clone(&req), Arc::clone(&head)));
                 agent.inherited.push((req, head));
             } else {
-                valid.push((id, false));
                 if st == RequestStatus::Inherited {
                     // Orphan: invalidate before use.
                     {
@@ -248,7 +237,6 @@ impl LockManager {
                     let _sli = sli_profiler::enter(Category::Work(Component::Sli));
                     if req.try_reclaim(ts.txn_seq) {
                         stats.on_sli_reclaimed();
-                        head.grant_word().dec_inherited();
                         agent.remove(&req);
                         ts.insert_owned(Arc::clone(&req), head);
                         drop(_sli);
@@ -735,10 +723,10 @@ impl LockManager {
         // Phase 2: forward pass — SLI selects the inheritance candidates
         // over the held-lock list (acquisition order, so parents precede
         // children and criterion 5 can consult the parent's decision).
-        // Grant-word holds are never candidates; on heads SLI cares about
-        // this resolves itself: the sampling fall-through creates a queued
-        // (inheritable) request, and once inherited entries exist the word
-        // diverts all traffic to the latched path anyway.
+        // Grant-word holds are never candidates; the sampling fall-through
+        // gives hot heads a steady trickle of queued (inheritable) requests,
+        // and an inherited request leaves every other agent's compatible
+        // acquire on the fast path.
         let decisions = if commit && self.config.policy.inherits() {
             let _sli = sli_profiler::enter(Category::Work(Component::Sli));
             select_candidates(sli_cfg, &ts.requests)
@@ -767,27 +755,13 @@ impl LockManager {
                 }
                 Entry::Queued(req, head) => (req, head),
             };
-            // Selection only picks Granted requests; the re-check is
-            // insurance for the status CAS below.
-            let inherit = decisions[i] && req.status() == RequestStatus::Granted;
-            if inherit {
-                // Count the inherited entry on the word *before* the
-                // status CAS: a conservative overcount only diverts fast
-                // traffic to the latched path during the transition.
-                head.grant_word().inc_inherited();
-                if req.begin_inheritance() {
-                    stats.on_sli_inherited();
-                    agent.inherited.push((req, head));
-                } else {
-                    // Unreachable by design (the status was re-checked as
-                    // Granted just above and only the owner transitions
-                    // Granted requests), but kept as release-mode
-                    // insurance: an unpaired inc would otherwise pin the
-                    // head onto the latched path forever.
-                    head.grant_word().dec_inherited();
-                    self.release_one(&req, &head);
-                    released.push(req);
-                }
+            // Selection only picks Granted requests, and only the owner
+            // moves a Granted request, so the status CAS succeeds; the
+            // request keeps counting as a granted holder on the queue, so
+            // the grant word needs no update.
+            if decisions[i] && req.begin_inheritance() {
+                stats.on_sli_inherited();
+                agent.inherited.push((req, head));
             } else {
                 self.release_one(&req, &head);
                 released.push(req);
@@ -1427,7 +1401,11 @@ mod tests {
         assert!(agent.inherited_count() > 0);
         m.retire_agent(&mut agent);
         assert_eq!(agent.inherited_count(), 0);
-        assert_eq!(m.quiescent_heads(), Ok(3), "no inherited count left behind");
+        assert_eq!(
+            m.quiescent_heads(),
+            Ok(3),
+            "no inherited request left behind"
+        );
     }
 
     #[test]
@@ -1662,8 +1640,8 @@ mod tests {
     fn sampling_fallthrough_feeds_sli_inheritance_with_fastpath_on() {
         // With the fast path enabled, SLI must still converge: every Nth
         // acquire goes latched, gets heat-sampled, and produces a queued
-        // request the commit can inherit; after that the head's inherited
-        // entries divert all traffic to the latched path.
+        // request the commit can inherit; the agent's next transaction
+        // reclaims it from its lock cache instead of acquiring afresh.
         let mut cfg = LockManagerConfig::with_policy(crate::PolicyKind::PaperSli);
         cfg.fastpath.sample_every = 4;
         let m = LockManager::new(cfg);

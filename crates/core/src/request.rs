@@ -25,6 +25,12 @@
 //! whichever transaction finds the inherited request in its way. Exactly one
 //! of the two CASes can win.
 
+// Under the `sli_check` feature the status word and its companions run on
+// the model checker's shimmed atomics, so the reclaim and invalidation CASes
+// are schedule points (see `crates/check`). Production builds keep std.
+#[cfg(feature = "sli_check")]
+use sli_check::sync::{AtomicU64, AtomicU8, Ordering};
+#[cfg(not(feature = "sli_check"))]
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 

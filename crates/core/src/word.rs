@@ -11,20 +11,20 @@
 //! ```text
 //!    63     62     61     60     59    58..48   47..32  31..16  15..0
 //! +------+------+------+------+------+--------+-------+-------+------+
-//! |ZOMBIE| WAIT | EXCL | Q_S  | Q_IX | n_INH  |  n_S  | n_IX  | n_IS |
+//! |ZOMBIE| WAIT | EXCL | Q_S  | Q_IX | unused |  n_S  | n_IX  | n_IS |
 //! +------+------+------+------+------+--------+-------+-------+------+
 //! ```
 //!
 //! * `n_IS` / `n_IX` / `n_S` — counters of **fast-path** holders in the
 //!   three group-compatible modes. Latched (queued) holders are *not*
 //!   counted here; they are summarized by the flag bits instead.
-//! * `n_INH` — number of `Inherited` requests parked on the head's queue
-//!   (11-bit, enough for one request per agent up to 2047 agents). Any
-//!   nonzero value routes all traffic through the latched path so SLI's
-//!   decision points (reclaim, invalidation, heat) see every acquire.
 //! * `Q_IX` / `Q_S` — the latched queue currently holds ≥1 granted IX / S
 //!   request (blocks fast S / fast IX respectively). Queue IS holders
-//!   conflict with no fast mode and need no flag.
+//!   conflict with no fast mode and need no flag. An SLI `Inherited`
+//!   request counts as a granted holder of its mode here, so inheritance,
+//!   reclaim and invalidation need no word operation of their own: the
+//!   flags already refuse every fast grant an inherited lock conflicts
+//!   with, and leave every compatible one on the CAS path.
 //! * `EXCL` — the queue holds a SIX or X request (blocks every fast mode).
 //! * `WAIT` — waiters or converters are present **or** a latched acquirer
 //!   is mid-scan (the barrier, see below). Blocks every fast mode.
@@ -34,9 +34,9 @@
 //! ## Protocol
 //!
 //! **Fast acquire** (no latch): CAS loop. Fail fast to the latched path if
-//! any of `EXCL | WAIT | ZOMBIE` is set, `n_INH > 0`, or a conflicting
-//! counter/flag is nonzero (`S` vs `n_IX`/`Q_IX`, `IX` vs `n_S`/`Q_S`);
-//! otherwise CAS the counter up. A bounded retry budget
+//! any of `EXCL | WAIT | ZOMBIE` is set or a conflicting counter/flag is
+//! nonzero (`S` vs `n_IX`/`Q_IX`, `IX` vs `n_S`/`Q_S`); otherwise CAS the
+//! counter up. A bounded retry budget
 //! (`FastPathConfig::retry_budget`) keeps pathological CAS storms off the
 //! word.
 //!
@@ -85,10 +85,6 @@ const IS_SHIFT: u32 = 0;
 const IX_SHIFT: u32 = 16;
 const S_SHIFT: u32 = 32;
 const COUNTER_MASK: u64 = 0xFFFF;
-/// 11-bit inherited-request counter.
-const INH_SHIFT: u32 = 48;
-const INH_MASK: u64 = 0x7FF;
-const INH_ONE: u64 = 1 << INH_SHIFT;
 
 /// Flag: the latched queue holds a granted IX request.
 pub const FLAG_Q_IX: u64 = 1 << 59;
@@ -102,9 +98,8 @@ pub const FLAG_WAIT: u64 = 1 << 62;
 pub const FLAG_ZOMBIE: u64 = 1 << 63;
 
 /// Any condition that forces a fresh acquire onto the latched path
-/// regardless of mode: exclusive holders, waiters, inherited entries
-/// (SLI owns the head), or a dead head.
-const FALLBACK_MASK: u64 = FLAG_EXCL | FLAG_WAIT | FLAG_ZOMBIE | (INH_MASK << INH_SHIFT);
+/// regardless of mode: exclusive holders, waiters, or a dead head.
+const FALLBACK_MASK: u64 = FLAG_EXCL | FLAG_WAIT | FLAG_ZOMBIE;
 
 /// The three fast (group-compatible) modes, index order matching the
 /// counter fields.
@@ -157,8 +152,6 @@ pub enum FastAcquire {
 pub struct GrantWordSnapshot {
     /// Fast-path holders per group mode `[IS, IX, S]`.
     pub fast: [u32; 3],
-    /// Inherited requests parked on the queue.
-    pub inherited: u32,
     /// Queue holds a granted IX request.
     pub queue_ix: bool,
     /// Queue holds a granted S request.
@@ -201,7 +194,6 @@ impl GrantWord {
         let w = self.load();
         GrantWordSnapshot {
             fast: [count(w, 0) as u32, count(w, 1) as u32, count(w, 2) as u32],
-            inherited: ((w >> INH_SHIFT) & INH_MASK) as u32,
             queue_ix: w & FLAG_Q_IX != 0,
             queue_s: w & FLAG_Q_S != 0,
             excl: w & FLAG_EXCL != 0,
@@ -346,8 +338,7 @@ impl GrantWord {
 
     /// Re-publish the queue-derived flag bits from the authoritative
     /// latched summary (counts of granted modes and waiters), preserving
-    /// the fast counters, the inherited counter, and `ZOMBIE`. Caller
-    /// holds the head latch.
+    /// the fast counters and `ZOMBIE`. Caller holds the head latch.
     pub fn publish(&self, queue_ix: bool, queue_s: bool, excl: bool, waiters: bool) {
         let mut set = 0u64;
         if queue_ix {
@@ -371,37 +362,6 @@ impl GrantWord {
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
                 Some((w & !clear) | set)
             });
-    }
-
-    // ---- inherited-entry tracking ----------------------------------------
-
-    /// Note that a request on this head is transitioning to `Inherited`.
-    /// Called by the owning agent *before* the status CAS so the counter
-    /// is conservatively high during the transition (an overcount only
-    /// diverts fast traffic to the latched path, never the reverse).
-    #[inline]
-    pub fn inc_inherited(&self) {
-        // ordering: AcqRel — the conservative overcount must be visible
-        // before the status CAS it brackets (program order on this word).
-        let prev = self.0.fetch_add(INH_ONE, Ordering::AcqRel);
-        debug_assert!(
-            (prev >> INH_SHIFT) & INH_MASK < INH_MASK,
-            "inherited counter overflow"
-        );
-    }
-
-    /// Note that an `Inherited` request left that state (reclaimed,
-    /// invalidated, or released). Must pair 1:1 with
-    /// [`GrantWord::inc_inherited`].
-    #[inline]
-    pub fn dec_inherited(&self) {
-        // ordering: AcqRel — pairs with `inc_inherited`; the decrement
-        // releases the reclaim/invalidate outcome to snapshot readers.
-        let prev = self.0.fetch_sub(INH_ONE, Ordering::AcqRel);
-        debug_assert!(
-            (prev >> INH_SHIFT) & INH_MASK > 0,
-            "inherited counter underflow"
-        );
     }
 
     // ---- retirement ------------------------------------------------------
@@ -447,15 +407,26 @@ mod tests {
 
     #[test]
     fn flags_force_fallback() {
-        for flag in [FLAG_EXCL, FLAG_WAIT] {
+        // Only EXCL, WAIT and ZOMBIE refuse every mode; the queue-holder
+        // flags refuse only the fast modes they conflict with.
+        assert_eq!(FALLBACK_MASK, FLAG_EXCL | FLAG_WAIT | FLAG_ZOMBIE);
+        for (flag, refused) in [
+            (FLAG_EXCL, FastAcquire::Conflict),
+            (FLAG_WAIT, FastAcquire::Conflict),
+            (FLAG_ZOMBIE, FastAcquire::Zombie),
+        ] {
             let w = GrantWord::new();
             w.0.fetch_or(flag, Ordering::Relaxed);
-            assert_eq!(w.try_fast_acquire(0, 4), FastAcquire::Conflict);
+            for idx in 0..3 {
+                assert_eq!(
+                    w.try_fast_acquire(idx, 4),
+                    refused,
+                    "{flag:#x} vs mode {idx}"
+                );
+            }
         }
         let w = GrantWord::new();
-        w.inc_inherited();
-        assert_eq!(w.try_fast_acquire(0, 4), FastAcquire::Conflict);
-        w.dec_inherited();
+        w.publish(true, true, false, false);
         assert_eq!(w.try_fast_acquire(0, 4), FastAcquire::Granted);
     }
 

@@ -84,11 +84,6 @@ proptest! {
                         .collect();
                     if !granted.is_empty() {
                         let r = &granted[i % granted.len()];
-                        // The manager's pairing: the grant word counts the
-                        // inherited entry *before* the status CAS (see
-                        // LockManager::end_txn); invalidate/unlink/release
-                        // paths decrement it.
-                        head.grant_word().inc_inherited();
                         prop_assert!(r.begin_inheritance());
                     }
                 }

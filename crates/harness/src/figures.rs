@@ -705,8 +705,8 @@ pub struct GrantWordRow {
 /// ancestor intention acquisitions that bypass the head latch. Steady
 /// state should put that fraction above 90% for both policies — for the
 /// baseline via the grant-word CAS alone, for paper-sli via grant word +
-/// reclaim (once heads go hot, SLI's inherited entries divert fresh
-/// traffic to the latched path and reclaims take over the bypass).
+/// reclaim. An inherited request blocks only the fast modes it conflicts
+/// with, so paper-sli falls back to the head latch no more than baseline.
 pub fn grant_word(knobs: &Knobs) -> Vec<GrantWordRow> {
     use sli_engine::PolicyKind;
     println!("\n== Grant word: latch-free compatible acquisitions (TPC-B) ==");
@@ -940,6 +940,23 @@ mod tests {
             .map(|r| r.fast_granted)
             .sum();
         assert!(base_fast > 0, "baseline must use the grant word");
+        // SLI must not push other agents' compatible acquires off the
+        // word: an inherited request only blocks the modes it conflicts
+        // with, exactly as a granted one does.
+        let (base, sli) = rows.split_at(ladder);
+        for (b, s) in base.iter().zip(sli) {
+            assert_eq!(
+                (b.policy, s.policy, b.agents),
+                ("baseline", "paper-sli", s.agents)
+            );
+            assert!(
+                s.fast_fallbacks <= b.fast_fallbacks,
+                "{} agents: paper-sli fell back {} times, baseline {}",
+                s.agents,
+                s.fast_fallbacks,
+                b.fast_fallbacks
+            );
+        }
     }
 
     #[test]

@@ -57,23 +57,16 @@ fn storm_sustains_configured_rate_and_emits_valid_artifact() {
         s.offered_per_sec
     );
 
-    // Far below capacity: nothing shed, backlog drained, and achieved
-    // completions track offered arrivals. Warm-up stragglers completing
-    // after the boundary allow a small overshoot.
+    // Far below capacity: nothing shed, a small backlog when arrivals
+    // stop, and every measured arrival completes (the summary counts an
+    // arrival in the phase it was scheduled in, so this is exact).
     assert_eq!(s.shed, 0, "no shedding at 400/s");
-    assert_eq!(s.final_depth, 0, "backlog drained");
     assert!(
-        s.completions() as f64 >= 0.85 * s.offered as f64,
-        "achieved {} vs offered {}",
-        s.completions(),
-        s.offered
+        (s.final_depth as usize) < knobs.traffic.queue_cap / 2,
+        "no divergence: depth {} at the horizon",
+        s.final_depth
     );
-    assert!(
-        s.completions() <= s.offered + 100,
-        "achieved {} cannot wildly exceed offered {}",
-        s.completions(),
-        s.offered
-    );
+    assert_eq!(s.completions(), s.offered, "backlog drained");
 
     // Latency quantiles are populated and ordered.
     assert!(s.p50_ns > 0);

@@ -7,8 +7,8 @@
 //! small sampling period so both the grant-word and latched paths fire
 //! constantly. At every quiescent point (no latch held, no thread mid-call)
 //! the packed word must agree with the latched queue: flag bits vs the
-//! granted-mode summary, the inherited counter vs the queue's `Inherited`
-//! entries, and the fast counters vs the transactions' recorded fast holds.
+//! granted-mode summary (an `Inherited` entry counts as a holder), and the
+//! fast counters vs the transactions' recorded fast holds.
 //!
 //! The threaded test is the no-starved-writer regression: a queued X
 //! request must be granted promptly even while readers hammer the same head
@@ -70,15 +70,10 @@ fn check_head(head: &Arc<LockHead>, expected_fast: [u32; 3]) {
     let q = head.latch_untracked();
     // Recount the queue from scratch.
     let mut counts = [0u32; 6];
-    let mut inherited = 0u32;
     let mut waiters = 0u32;
     for r in q.reqs.iter() {
         match r.status() {
-            RequestStatus::Granted => counts[r.mode() as usize] += 1,
-            RequestStatus::Inherited => {
-                counts[r.mode() as usize] += 1;
-                inherited += 1;
-            }
+            RequestStatus::Granted | RequestStatus::Inherited => counts[r.mode() as usize] += 1,
             RequestStatus::Converting => {
                 counts[r.mode() as usize] += 1;
                 waiters += 1;
@@ -113,13 +108,6 @@ fn check_head(head: &Arc<LockHead>, expected_fast: [u32; 3]) {
         snap.wait,
         waiters > 0,
         "WAIT flag vs queue waiters on {:?}: {:?}",
-        id,
-        snap
-    );
-    prop_assert_eq!(
-        snap.inherited,
-        inherited,
-        "inherited counter vs queue recount on {:?}: {:?}",
         id,
         snap
     );
