@@ -50,10 +50,6 @@ impl Default for SliConfig {
 /// acquisitions; see `crate::word` for the protocol).
 #[derive(Clone, Copy, Debug)]
 pub struct FastPathConfig {
-    /// Master switch. `false` routes every fresh acquire through the
-    /// latched queue path (the pre-grant-word behaviour) — the A/B lever
-    /// for the `micro_lockmgr` and `grant-word` experiments.
-    pub enabled: bool,
     /// CAS retries before a contended fast acquire falls back to the
     /// latched path (default 8).
     pub retry_budget: u32,
@@ -69,7 +65,6 @@ pub struct FastPathConfig {
 impl Default for FastPathConfig {
     fn default() -> Self {
         FastPathConfig {
-            enabled: true,
             retry_budget: 8,
             sample_every: 64,
         }
@@ -77,10 +72,12 @@ impl Default for FastPathConfig {
 }
 
 impl FastPathConfig {
-    /// A configuration with the fast path disabled (pure latched paths).
+    /// Every group-mode acquire takes the latched path: sampling every
+    /// acquire leaves none for the grant-word CAS, so each one queues a
+    /// (poolable, inheritable) request and counts as `fastpath_sampled`.
     pub fn disabled() -> Self {
         FastPathConfig {
-            enabled: false,
+            sample_every: 1,
             ..FastPathConfig::default()
         }
     }
@@ -108,10 +105,6 @@ pub struct LockManagerConfig {
     pub sli: SliConfig,
     /// Whether commits pass hot locks on (SLI) or release everything.
     pub policy: PolicyKind,
-    /// Capacity of each agent's [`LockRequest`](crate::LockRequest) free pool (0 disables
-    /// pooling). A warm pool makes the steady-state uncontended acquire
-    /// path allocation-free.
-    pub request_pool_cap: usize,
     /// Grant-word fast-path knobs (latch-free compatible acquisitions).
     pub fastpath: FastPathConfig,
 }
@@ -123,7 +116,6 @@ impl Default for LockManagerConfig {
             lock_timeout: Duration::from_secs(2),
             sli: SliConfig::default(),
             policy: PolicyKind::default(),
-            request_pool_cap: crate::sli::DEFAULT_REQUEST_POOL_CAP,
             fastpath: FastPathConfig::default(),
         }
     }

@@ -61,7 +61,7 @@ pub use manager::LockManager;
 pub use mode::{LockMode, ALL_MODES, NUM_MODES};
 pub use policy::PolicyKind;
 pub use request::{LockRequest, RequestStatus};
-pub use sli::{is_inheritance_candidate, AgentSliState, DEFAULT_REQUEST_POOL_CAP};
+pub use sli::{is_inheritance_candidate, AgentSliState};
 pub use stats::{LockClass, LockStats, LockStatsSnapshot};
 pub use txn::TxnLockState;
 pub use word::{FastAcquire, GrantWord, GrantWordSnapshot, FAST_MODES};

@@ -92,9 +92,8 @@ impl LockManager {
     /// Allocate an agent slot (recycling retired ones). Each agent thread
     /// registers once and runs transactions serially.
     pub fn register_agent(&self) -> Result<AgentSliState, LockError> {
-        let cap = self.config.request_pool_cap;
         if let Some(slot) = self.free_slots.lock().pop() {
-            return Ok(AgentSliState::with_pool_cap(slot, cap));
+            return Ok(AgentSliState::new(slot));
         }
         // ordering: relaxed — a pure id allocator; uniqueness comes from
         // the atomic RMW, not from memory ordering.
@@ -104,7 +103,7 @@ impl LockManager {
                 max: self.config.max_agents,
             });
         }
-        Ok(AgentSliState::with_pool_cap(slot, cap))
+        Ok(AgentSliState::new(slot))
     }
 
     /// Raise the transaction-id floor so ids handed out from here on are
@@ -425,7 +424,7 @@ impl LockManager {
         // (heat sampling must keep seeing a fraction of the traffic — and,
         // under SLI, only latched acquires produce requests that can be
         // inherited).
-        let mut try_fast = fp.enabled && mode.fast_group_index().is_some();
+        let mut try_fast = mode.fast_group_index().is_some();
         if try_fast && agent.fastpath_should_sample(fp.sample_every) {
             stats.on_fastpath_sampled();
             try_fast = false;
@@ -926,10 +925,10 @@ mod tests {
         LockManager::new(cfg)
     }
 
-    /// Like [`mgr`], but with the grant-word fast path disabled: tests of
-    /// the SLI hand-off and the request pool need every acquisition to be
-    /// a *queued* request (fast-path holds carry no `LockRequest` and can
-    /// neither be inherited nor pooled).
+    /// Like [`mgr`], but every acquire is sampled onto the latched path:
+    /// tests of the SLI hand-off and the request pool need every
+    /// acquisition to be a *queued* request (fast-path holds carry no
+    /// `LockRequest` and can neither be inherited nor pooled).
     fn mgr_latched(sli: bool) -> Arc<LockManager> {
         let kind = if sli {
             crate::PolicyKind::PaperSli
@@ -1460,17 +1459,18 @@ mod tests {
 
     #[test]
     fn pool_capacity_is_respected() {
-        let mut cfg = LockManagerConfig::with_policy(crate::PolicyKind::Baseline);
-        cfg.request_pool_cap = 2;
-        cfg.fastpath = crate::config::FastPathConfig::disabled();
-        let m = LockManager::new(cfg);
+        let m = mgr_latched(false);
         let mut agent = m.register_agent().unwrap();
         let mut ts = TxnLockState::new(agent.slot());
         m.begin(&mut ts, &mut agent);
-        m.lock(&mut ts, &mut agent, rec(1, 0, 0), LockMode::S)
-            .unwrap();
+        // db, table, page and 70 records: 73 queued requests released by
+        // one commit, more than the pool holds.
+        for s in 0..70 {
+            m.lock(&mut ts, &mut agent, rec(1, 0, s), LockMode::S)
+                .unwrap();
+        }
         m.end_txn(&mut ts, &mut agent, true);
-        assert_eq!(agent.pooled_count(), 2, "pool capped below locks/txn");
+        assert_eq!(agent.pooled_count(), 64, "pool capped below locks/txn");
         m.retire_agent(&mut agent);
     }
 
@@ -1672,7 +1672,7 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_disabled_config_routes_everything_latched() {
+    fn disabled_config_samples_every_acquire_onto_the_latched_path() {
         let m = mgr_latched(false);
         let mut agent = m.register_agent().unwrap();
         let mut ts = TxnLockState::new(agent.slot());
@@ -1682,7 +1682,7 @@ mod tests {
         m.end_txn(&mut ts, &mut agent, true);
         let snap = m.stats().snapshot();
         assert_eq!(snap.fastpath_granted, 0);
-        assert_eq!(snap.fastpath_sampled, 0);
+        assert_eq!(snap.fastpath_sampled, 4, "one per group-mode acquire");
         assert_eq!(snap.requests_allocated, 4);
     }
 
@@ -1788,7 +1788,8 @@ mod policy_tests {
     fn hysteresis_keeps_unused_locks_for_extra_generations() {
         let mut cfg = LockManagerConfig::default();
         cfg.sli.hysteresis = 2;
-        // Inheritance tests need queued acquisitions: fast path off.
+        // Inheritance tests need queued acquisitions: every acquire
+        // sampled onto the latched path.
         cfg.fastpath = crate::config::FastPathConfig::disabled();
         let m = LockManager::new(cfg);
         let mut agent = m.register_agent().unwrap();

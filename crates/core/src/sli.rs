@@ -20,9 +20,8 @@ use crate::mode::LockMode;
 use crate::request::LockRequest;
 use crate::txn::QueuedEntry;
 
-/// Default capacity of the per-agent [`LockRequest`] free pool (see
-/// [`crate::LockManagerConfig::request_pool_cap`]).
-pub const DEFAULT_REQUEST_POOL_CAP: usize = 64;
+/// Capacity of the per-agent [`LockRequest`] free pool.
+const REQUEST_POOL_CAP: usize = 64;
 
 /// Capacity of the per-agent ancestor-head memo (database + table heads).
 /// Small and scanned linearly: transactions touch a handful of tables.
@@ -40,7 +39,6 @@ pub struct AgentSliState {
     pub(crate) inherited: Vec<QueuedEntry>,
     /// Recycled, unshared requests (capacity-capped).
     pool: Vec<Arc<LockRequest>>,
-    pool_cap: usize,
     /// Reusable commit-path scratch for released requests awaiting
     /// recycling, so `end_txn` itself allocates nothing in steady state.
     pub(crate) release_scratch: Vec<Arc<LockRequest>>,
@@ -58,20 +56,13 @@ pub struct AgentSliState {
 }
 
 impl AgentSliState {
-    /// State for agent `slot` with an empty inherited list and the default
-    /// request-pool capacity.
+    /// State for agent `slot` with an empty inherited list and an empty
+    /// request pool.
     pub fn new(slot: u32) -> Self {
-        Self::with_pool_cap(slot, DEFAULT_REQUEST_POOL_CAP)
-    }
-
-    /// State for agent `slot` with an explicit request-pool capacity
-    /// (0 disables pooling).
-    pub fn with_pool_cap(slot: u32, pool_cap: usize) -> Self {
         AgentSliState {
             slot,
             inherited: Vec::with_capacity(16),
-            pool: Vec::with_capacity(pool_cap.min(16)),
-            pool_cap,
+            pool: Vec::with_capacity(16),
             release_scratch: Vec::with_capacity(16),
             head_memo: Vec::with_capacity(HEAD_MEMO_CAP),
             // Knuth-hash the slot into a nonzero xorshift seed so agents
@@ -142,7 +133,7 @@ impl AgentSliState {
             !req.status().holds_lock(),
             "pooling a request that still holds a lock"
         );
-        if self.pool.len() >= self.pool_cap || Arc::get_mut(&mut req).is_none() {
+        if self.pool.len() >= REQUEST_POOL_CAP || Arc::get_mut(&mut req).is_none() {
             return false;
         }
         self.pool.push(req);

@@ -577,7 +577,8 @@ mod tests {
 
     #[test]
     fn sessions_inherit_locks_across_transactions() {
-        // Inheritance needs queued acquisitions: grant-word fast path off.
+        // Inheritance needs queued acquisitions: every acquire sampled
+        // onto the latched path.
         let mut cfg = DatabaseConfig::with_policy(sli_core::PolicyKind::PaperSli);
         cfg.lock.fastpath = sli_core::FastPathConfig::disabled();
         let db = Database::open(cfg);

@@ -38,9 +38,9 @@ fn main() {
     println!("  sup(S, IX) = {}", LockMode::S.supremum(LockMode::IX));
 
     println!("\n== 2. automatic intention locks ==");
-    // Grant-word fast path off for this tour: sections 3-4 narrate the SLI
-    // hand-off, which needs every acquisition to be a queued (inheritable)
-    // request. Section 6 tours the fast path itself.
+    // Every acquire sampled onto the latched path for this tour: sections
+    // 3-4 narrate the SLI hand-off, which needs every acquisition to be a
+    // queued (inheritable) request. Section 6 tours the fast path itself.
     let mut cfg = LockManagerConfig::with_policy(PolicyKind::PaperSli);
     cfg.fastpath = FastPathConfig::disabled();
     let m = LockManager::new(cfg);

@@ -21,10 +21,11 @@ const L2: LockId = LockId::Table(TableId(2));
 
 #[test]
 fn inherited_lock_is_invalidated_instead_of_deadlocking() {
+    // A real deadlock would hit the timeout.
     let mut cfg =
-        LockManagerConfig::with_policy(PolicyKind::PaperSli).lock_timeout(Duration::from_secs(10)); // a real deadlock would hit this
-                                                                                                    // The scenario needs the setup acquisitions to be queued
-                                                                                                    // (inheritable), not grant-word holds.
+        LockManagerConfig::with_policy(PolicyKind::PaperSli).lock_timeout(Duration::from_secs(10));
+    // The scenario needs the setup acquisitions to be queued (inheritable),
+    // not grant-word holds: every acquire sampled onto the latched path.
     cfg.fastpath = FastPathConfig::disabled();
     let m = LockManager::new(cfg);
 

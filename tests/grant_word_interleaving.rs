@@ -138,7 +138,6 @@ fn mk_manager() -> Arc<LockManager> {
     cfg.lock_timeout = Duration::from_secs(5);
     // Small sampling period: both paths fire constantly.
     cfg.fastpath = FastPathConfig {
-        enabled: true,
         retry_budget: 8,
         sample_every: 3,
     };

@@ -126,8 +126,8 @@ proptest! {
     /// the per-agent free pool never resurrects a dead (`Released`/
     /// `Invalid`) request into a live lock queue. Two agents alternate
     /// transactions with everything heated, so the inherit → invalidate →
-    /// recycle → reinit churn is maximal, with a tiny pool capacity to
-    /// force constant turnover.
+    /// recycle → reinit churn is maximal; every commit recycles its
+    /// released requests through the pool.
     #[test]
     fn pooled_requests_never_resurrect_into_live_queues(
         txns in prop::collection::vec(
@@ -136,9 +136,7 @@ proptest! {
         ),
     ) {
         use sli::core::RequestStatus;
-        let mut cfg = LockManagerConfig::with_policy(PolicyKind::PaperSli);
-        cfg.request_pool_cap = 4;
-        let m = LockManager::new(cfg);
+        let m = LockManager::new(LockManagerConfig::with_policy(PolicyKind::PaperSli));
         let mut agents: Vec<_> = (0..2)
             .map(|_| {
                 let a = m.register_agent().unwrap();

@@ -247,8 +247,7 @@ fn classify(rel: &str) -> FileClass {
         || rel.starts_with("examples/")
         || rel.contains("/tests/")
         || rel.contains("/benches/")
-        || rel.contains("/examples/")
-        || rel.contains("crates/bench/");
+        || rel.contains("/examples/");
     let relaxed = env_exempt || rel.contains("crates/harness/");
     FileClass {
         relaxed,
@@ -842,7 +841,7 @@ mod tests {
         // Integration tests and benches are exempt by path.
         let bare = "fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }\n";
         assert!(run("crates/x/tests/stress.rs", bare).is_empty());
-        assert!(run("crates/bench/benches/micro.rs", bare).is_empty());
+        assert!(run("crates/x/benches/micro.rs", bare).is_empty());
     }
 
     #[test]
@@ -862,7 +861,7 @@ mod tests {
         assert_eq!(run("vendor/parking_lot/src/lib.rs", bad), ["env"]);
         assert!(run("crates/harness/tests/stress.rs", bad).is_empty());
         assert!(run("crates/harness/examples/diag.rs", bad).is_empty());
-        assert!(run("crates/bench/benches/micro.rs", bad).is_empty());
+        assert!(run("crates/x/benches/micro.rs", bad).is_empty());
         assert!(run("tests/stress.rs", bad).is_empty());
         assert!(run("examples/demo.rs", bad).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    fn f() { std::env::var(\"X\"); }\n}\n";
