@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use crate::id::LockLevel;
-use crate::policy::PolicyKind;
+use crate::sli::PolicyKind;
 
 /// Tuning knobs for Speculative Lock Inheritance.
 ///
@@ -12,8 +12,8 @@ use crate::policy::PolicyKind;
 /// which relaxes criteria 1, 2, 4 and 5 one at a time and tries
 /// hysteresis, and `bimodal`, which sweeps hysteresis. Criterion 3 (a
 /// shared mode) is always enforced, the hot window is the last 16
-/// acquisitions, and a commit passes on at most
-/// `MAX_INHERITED_PER_TXN` (64) locks. SLI itself is switched off by
+/// acquisitions, and `sli.rs` caps a commit's hand-off at 64 locks
+/// (`MAX_INHERITED_PER_TXN`, not settable). SLI itself is switched off by
 /// choosing [`PolicyKind::Baseline`], not here.
 #[derive(Clone, Debug)]
 pub struct SliConfig {

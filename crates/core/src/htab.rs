@@ -112,6 +112,26 @@ impl LockTable {
         true
     }
 
+    /// Remove a record's lock head if its queue drained. Page, table and
+    /// database heads are permanent: every transaction re-requests them,
+    /// so freeing one only re-allocates it (and resets its hot window) a
+    /// moment later. Their number is bounded by heap pages, which are
+    /// never deallocated, plus tables plus one.
+    pub fn gc_if_drained(&self, head: &Arc<LockHead>) {
+        // Opportunistic: peek without latching; remove_if_empty re-checks
+        // under both latches (and the grant word's retire CAS refuses
+        // while fast-path holders exist).
+        if head.id().level().is_page_or_higher() || head.grant_word().fast_total() > 0 {
+            return;
+        }
+        if head
+            .try_latch_untracked()
+            .is_some_and(|q| q.is_empty() && !q.zombie)
+        {
+            self.remove_if_empty(head);
+        }
+    }
+
     /// Number of live lock heads (diagnostics; takes every bucket latch).
     pub fn len(&self) -> usize {
         self.buckets.iter().map(|b| b.lock().heads.len()).sum()

@@ -43,7 +43,6 @@ mod htab;
 mod id;
 mod manager;
 mod mode;
-mod policy;
 mod request;
 mod sli;
 mod stats;
@@ -59,9 +58,8 @@ pub use htab::LockTable;
 pub use id::{LockId, LockLevel, TableId};
 pub use manager::LockManager;
 pub use mode::{LockMode, ALL_MODES, NUM_MODES};
-pub use policy::PolicyKind;
 pub use request::{LockRequest, RequestStatus};
-pub use sli::{is_inheritance_candidate, AgentSliState};
+pub use sli::{AgentSliState, PolicyKind};
 pub use stats::{LockClass, LockStats, LockStatsSnapshot};
 pub use txn::TxnLockState;
 pub use word::{FastAcquire, GrantWord, GrantWordSnapshot, FAST_MODES};

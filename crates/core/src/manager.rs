@@ -1,11 +1,11 @@
-//! The database lock manager, with Speculative Lock Inheritance.
+//! The database lock manager.
 //!
 //! The acquire path follows Section 3.2: ensure intention locks on
-//! ancestors (automatically), then probe the hash table, latch the lock
-//! head, and either grant immediately or enqueue and block. The release
-//! path at commit runs SLI's candidate selection (Section 4.2) and either
-//! passes locks to the agent's inherited list or releases them with a
-//! Figure 3 grant pass.
+//! ancestors (automatically), then probe the hash table and either take a
+//! grant-word fast grant or latch the lock head and grant immediately or
+//! enqueue and block. Commit releases what SLI does not park with a
+//! Figure 3 grant pass. Every inheritance step is a call into
+//! [`crate::sli::Sli`].
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,10 +20,9 @@ use crate::head::LockHead;
 use crate::htab::LockTable;
 use crate::id::{LockId, LockLevel};
 use crate::mode::LockMode;
-use crate::policy::{keeps_unused, select_candidates, PolicyKind};
 use crate::request::{LockRequest, RequestStatus};
-use crate::sli::AgentSliState;
-use crate::stats::{AgentStats, LockClass, LockStats};
+use crate::sli::{AgentSliState, PolicyKind, Sli};
+use crate::stats::LockStats;
 use crate::txn::{Entry, TxnLockState};
 use crate::word::FastAcquire;
 
@@ -78,6 +77,10 @@ impl LockManager {
         &self.stats
     }
 
+    fn sli(&self) -> Sli<'_> {
+        Sli::new(&self.config, &self.stats, &self.table)
+    }
+
     /// See [`LockTable::quiescent_heads`] (diagnostics and tests).
     pub fn quiescent_heads(&self) -> Result<usize, LockId> {
         self.table.quiescent_heads()
@@ -116,51 +119,11 @@ impl LockManager {
 
     /// Start a transaction on `agent`, pre-populating its lock cache with
     /// the agent's inherited requests (the SLI hand-off).
-    ///
-    /// This is also where the paper's orphan rule is enforced eagerly: an
-    /// inherited lock whose parent is no longer continuously inherited is
-    /// invalidated *before any transaction tries to use it*.
     pub fn begin(&self, ts: &mut TxnLockState, agent: &mut AgentSliState) {
         // ordering: relaxed — a pure id allocator (see `register_agent`).
         let seq = self.next_txn.fetch_add(1, Ordering::Relaxed);
         ts.reset(seq);
-        if agent.inherited.is_empty() {
-            return;
-        }
-        let _sli = sli_profiler::enter(Category::Work(Component::Sli));
-        let stats = self.stats.agent(agent.slot());
-        // Validate coarse-to-fine so each child can consult its parent.
-        agent.inherited.sort_by_key(|(r, _)| r.lock_id().level());
-        let entries = std::mem::take(&mut agent.inherited);
-        for (req, head) in entries {
-            let id = req.lock_id();
-            // The freshly reset cache holds exactly the hand-off entries
-            // validated so far, parents first. A parent missing from it was
-            // invalidated (now or earlier): the child is an orphan.
-            let parent_ok = id.parent().is_none_or(|p| ts.cache.contains_key(&p));
-            let st = req.status();
-            if st == RequestStatus::Inherited && parent_ok {
-                ts.cache
-                    .insert(id, Entry::Queued(Arc::clone(&req), Arc::clone(&head)));
-                agent.inherited.push((req, head));
-            } else {
-                if st == RequestStatus::Inherited {
-                    // Orphan: invalidate before use.
-                    {
-                        let mut q = head.latch_untracked();
-                        if q.invalidate_inherited(&req) {
-                            stats.on_sli_invalidated();
-                            q.grant_pass(&self.stats);
-                        }
-                    }
-                    self.maybe_gc_head(&head);
-                }
-                // Invalid entries were already unlinked by their
-                // invalidator; recycling the Arc completes the GC.
-                drop(head);
-                agent.pool_put(req);
-            }
-        }
+        self.sli().hand_off(ts, agent);
     }
 
     /// Acquire `mode` on `id` for the transaction, taking intention locks on
@@ -231,41 +194,20 @@ impl LockManager {
                     }
                     return self.upgrade(ts, &req, &head, mode);
                 }
-                RequestStatus::Inherited => {
-                    // The SLI fast path: a bare CAS, no latch, no allocation.
-                    let _sli = sli_profiler::enter(Category::Work(Component::Sli));
-                    if req.try_reclaim(ts.txn_seq) {
-                        stats.on_sli_reclaimed();
-                        agent.remove(&req);
-                        ts.insert_owned(Arc::clone(&req), head);
-                        drop(_sli);
-                        if req.mode().implies(mode) {
-                            if track {
-                                stats.on_ancestor_acquire(true);
-                            }
-                            return Ok(());
-                        }
+                RequestStatus::Inherited | RequestStatus::Invalid => {
+                    if let Some(req) = self.sli().reclaim(ts, agent, req, head) {
+                        let covered = req.mode().implies(mode);
                         if track {
-                            stats.on_ancestor_acquire(false);
+                            stats.on_ancestor_acquire(covered);
+                        }
+                        if covered {
+                            return Ok(());
                         }
                         let Some(Entry::Queued(_, h)) = ts.cache.get(&id).cloned() else {
                             unreachable!("just inserted");
                         };
                         return self.upgrade(ts, &req, &h, mode);
                     }
-                    // Lost the race: a conflicting transaction invalidated
-                    // the inheritance. Recycle it and any orphaned
-                    // children, then fall through to a normal request.
-                    ts.cache.remove(&id);
-                    agent.remove(&req);
-                    self.invalidate_orphans(ts, agent, id);
-                    agent.pool_put(req);
-                }
-                RequestStatus::Invalid => {
-                    ts.cache.remove(&id);
-                    agent.remove(&req);
-                    self.invalidate_orphans(ts, agent, id);
-                    agent.pool_put(req);
                 }
                 _ => {
                     // Stale entry (e.g. Released); drop it.
@@ -350,47 +292,11 @@ impl LockManager {
         }
     }
 
-    /// Invalidate any inherited cache entries whose parent `parent_id` is no
-    /// longer continuously held, maintaining the paper's orphan rule: "Any
-    /// inherited lock 'orphaned' when its parent is invalidated will also be
-    /// invalidated before any transaction tries to use it."
-    fn invalidate_orphans(
-        &self,
-        ts: &mut TxnLockState,
-        agent: &mut AgentSliState,
-        parent_id: LockId,
-    ) {
-        let orphans: Vec<LockId> = ts
-            .cache
-            .iter()
-            .filter(|(cid, e)| {
-                cid.parent() == Some(parent_id)
-                    && matches!(e, Entry::Queued(req, _)
-                        if req.status() == RequestStatus::Inherited)
-            })
-            .map(|(cid, _)| *cid)
-            .collect();
-        for oid in orphans {
-            if let Some(Entry::Queued(req, head)) = ts.cache.remove(&oid) {
-                {
-                    let mut q = head.latch_untracked();
-                    if q.invalidate_inherited(&req) {
-                        self.stats.agent(ts.agent_slot).on_sli_invalidated();
-                    }
-                }
-                agent.remove(&req);
-                self.maybe_gc_head(&head);
-                self.invalidate_orphans(ts, agent, oid);
-                agent.pool_put(req);
-            }
-        }
-    }
-
     /// Probe the hash table for `id`'s head, serving database/table levels
     /// from the agent's cross-transaction memo so the steady-state
     /// hierarchy walk skips the bucket latch entirely. Those heads are
-    /// permanent (see [`LockManager::maybe_gc_head`]), so a memo entry
-    /// never goes stale.
+    /// permanent (see [`LockTable::gc_if_drained`]), so a memo entry never
+    /// goes stale.
     fn probe_head(&self, agent: &mut AgentSliState, id: LockId) -> Arc<LockHead> {
         if id.level() > LockLevel::Table {
             return self.table.get_or_create(id);
@@ -630,7 +536,7 @@ impl LockManager {
                 if granted_late {
                     return Ok(());
                 }
-                self.maybe_gc_head(head);
+                self.table.gc_if_drained(head);
                 return if deadlocked {
                     stats.on_deadlock();
                     Err(LockError::Deadlock {
@@ -670,13 +576,12 @@ impl LockManager {
             .any(|(head, fast)| head.latch_untracked().blocks_a_waiter(slot, fast, scratch))
     }
 
-    /// Finish a transaction: run SLI candidate selection (on commit) and
-    /// release or inherit every lock. Also garbage-collects the agent's
-    /// previous inherited list (unused / invalidated entries).
+    /// Finish a transaction: settle the previous hand-off's leftovers,
+    /// then park what SLI selects (on commit) and release everything else.
     pub fn end_txn(&self, ts: &mut TxnLockState, agent: &mut AgentSliState, commit: bool) {
         let _work = sli_profiler::enter(Category::Work(Component::LockManager));
         let stats = self.stats.agent(agent.slot());
-        let sli_cfg = &self.config.sli;
+        let sli = self.sli();
         // Requests released during this pass, recycled into the agent's
         // free pool at the very end — only after `ts.cache` drops its
         // clones, or the exclusivity check would reject every one of them.
@@ -684,67 +589,12 @@ impl LockManager {
         // allocates nothing in steady state.
         let mut released = std::mem::take(&mut agent.release_scratch);
         debug_assert!(released.is_empty());
+        sli.settle(agent, commit, &mut released);
+        let decisions = sli.select(stats, &ts.requests, commit);
 
-        // Phase 1: resolve leftovers from the previous hand-off. Requests
-        // reclaimed by this transaction were already removed; what remains
-        // was never used ("inheritance fails harmlessly") or was
-        // invalidated by a conflicting transaction.
-        if !agent.inherited.is_empty() {
-            let _sli = sli_profiler::enter(Category::Work(Component::Sli));
-            let leftovers = std::mem::take(&mut agent.inherited);
-            for (req, head) in leftovers {
-                match req.status() {
-                    RequestStatus::Invalid => {
-                        // Already unlinked by the invalidator; recycle.
-                        released.push(req);
-                    }
-                    RequestStatus::Inherited => {
-                        // Keep the unused hand-off parked for another
-                        // generation, or drop it.
-                        // ordering: relaxed — only the owning agent reads
-                        // and writes this GC counter.
-                        let unused = req.unused_generations.load(Ordering::Relaxed);
-                        let keep = commit && keeps_unused(sli_cfg, &head, unused as u32);
-                        if keep {
-                            // ordering: owner-only GC counter (see above).
-                            req.unused_generations.store(unused + 1, Ordering::Relaxed);
-                            agent.inherited.push((req, head));
-                        } else {
-                            self.discard_inherited(stats, &req, &head);
-                            released.push(req);
-                        }
-                    }
-                    other => debug_assert!(false, "inherited entry in impossible state {other:?}"),
-                }
-            }
-        }
-
-        // Phase 2: forward pass — SLI selects the inheritance candidates
-        // over the held-lock list (acquisition order, so parents precede
-        // children and criterion 5 can consult the parent's decision).
-        // Grant-word holds are never candidates; the sampling fall-through
-        // gives hot heads a steady trickle of queued (inheritable) requests,
-        // and an inherited request leaves every other agent's compatible
-        // acquire on the fast path.
-        let decisions = if commit && self.config.policy.inherits() {
-            let _sli = sli_profiler::enter(Category::Work(Component::Sli));
-            select_candidates(sli_cfg, &ts.requests)
-        } else {
-            vec![false; ts.requests.len()]
-        };
-        // Census (Figure 8): classify what SLI could target. Aborted
-        // transactions are excluded so high-abort workloads don't inflate
-        // the per-commit denominators. The parent criterion is dynamic, so
-        // the static classification treats it as satisfiable.
-        if commit {
-            for (e, &inherited) in ts.requests.iter().zip(&decisions) {
-                self.record_census(stats, e.id(), e.mode(), e.head(), inherited);
-            }
-        }
-
-        // Phase 3: reverse pass — youngest first, as Shore-MT does, so
-        // children are released before their parents (a fast-path parent
-        // must outlive its latched children for the same reason).
+        // Reverse pass — youngest first, as Shore-MT does, so children are
+        // released before their parents (a fast-path parent must outlive
+        // its latched children for the same reason).
         let entries = std::mem::take(&mut ts.requests);
         for (i, entry) in entries.into_iter().enumerate().rev() {
             let (req, head) = match entry {
@@ -752,19 +602,14 @@ impl LockManager {
                     self.release_fast(ts.agent_slot, mode, &head);
                     continue;
                 }
+                Entry::Queued(req, head) if decisions[i] => match sli.park(agent, (req, head)) {
+                    Some(entry) => entry,
+                    None => continue,
+                },
                 Entry::Queued(req, head) => (req, head),
             };
-            // Selection only picks Granted requests, and only the owner
-            // moves a Granted request, so the status CAS succeeds; the
-            // request keeps counting as a granted holder on the queue, so
-            // the grant word needs no update.
-            if decisions[i] && req.begin_inheritance() {
-                stats.on_sli_inherited();
-                agent.inherited.push((req, head));
-            } else {
-                self.release_one(&req, &head);
-                released.push(req);
-            }
+            self.release_one(&req, &head);
+            released.push(req);
         }
 
         if commit {
@@ -787,46 +632,10 @@ impl LockManager {
     /// its slot. Must be called before the agent thread exits, or its
     /// inherited locks would linger until invalidated.
     pub fn retire_agent(&self, agent: &mut AgentSliState) {
-        let stats = self.stats.agent(agent.slot());
-        let leftovers = std::mem::take(&mut agent.inherited);
-        for (req, head) in leftovers {
-            if req.status() == RequestStatus::Inherited {
-                self.discard_inherited(stats, &req, &head);
-            }
-        }
+        self.sli().settle(agent, false, &mut Vec::new());
         agent.clear_head_memo();
         self.digests.clear(agent.slot());
         self.free_slots.lock().push(agent.slot());
-    }
-
-    fn record_census(
-        &self,
-        stats: &AgentStats,
-        id: LockId,
-        mode: LockMode,
-        head: &LockHead,
-        inherited: bool,
-    ) {
-        let sli_cfg = &self.config.sli;
-        let hot = head.hot().is_hot(sli_cfg.hot_threshold);
-        let class = if hot {
-            let heritable = id.level() <= sli_cfg.min_level
-                && mode.is_shared_for_sli()
-                && head.waiters_hint() == 0;
-            if heritable {
-                LockClass::HotHeritable
-            } else {
-                LockClass::HotNonHeritable
-            }
-        } else if id.level() == LockLevel::Record {
-            LockClass::ColdRow
-        } else {
-            LockClass::ColdHigh
-        };
-        if hot && !inherited && self.config.policy.inherits() {
-            stats.on_sli_hot_not_inherited();
-        }
-        stats.on_census(class);
     }
 
     /// Release a grant-word fast-path hold: one counter decrement. If the
@@ -841,7 +650,7 @@ impl LockManager {
             let mut q = head.latch_untracked();
             q.grant_pass(&self.stats);
         }
-        self.maybe_gc_head(head);
+        self.table.gc_if_drained(head);
     }
 
     /// Release one granted request and maybe GC its head.
@@ -852,50 +661,7 @@ impl LockManager {
                 q.release(req, &self.stats);
             }
         }
-        self.maybe_gc_head(head);
-    }
-
-    /// Release an inherited-but-unused request ("In the worst case a
-    /// transaction ... pays the cost of releasing the lock which the
-    /// previous transaction avoided" — charged to SLI, not the lock
-    /// manager).
-    fn discard_inherited(&self, stats: &AgentStats, req: &Arc<LockRequest>, head: &Arc<LockHead>) {
-        {
-            // Untracked: dropping an unused hand-off is maintenance, not
-            // demand — a cold sample here would cool the lock at the very
-            // moment other agents' hysteresis decisions consult it.
-            let mut q = head.latch_untracked();
-            // Serialized with invalidators by the latch; our own reclaim
-            // cannot race (we are the owning agent).
-            if req.status() == RequestStatus::Inherited {
-                q.release(req, &self.stats);
-                stats.on_sli_discarded();
-            }
-        }
-        self.maybe_gc_head(head);
-    }
-
-    /// Remove a record's lock head from the hash table if its queue
-    /// drained. Page, table and database heads are permanent: every
-    /// transaction re-requests them, so freeing one only re-allocates it
-    /// (and resets its hot window) a moment later. Their number is bounded
-    /// by heap pages, which are never deallocated, plus tables plus one.
-    fn maybe_gc_head(&self, head: &Arc<LockHead>) {
-        // Opportunistic: peek without latching; remove_if_empty re-checks
-        // under both latches (and the grant word's retire CAS refuses
-        // while fast-path holders exist).
-        if head.id().level().is_page_or_higher() || head.grant_word().fast_total() > 0 {
-            return;
-        }
-        let empty = {
-            match head.try_latch_untracked() {
-                Some(q) => q.is_empty() && !q.zombie,
-                None => false,
-            }
-        };
-        if empty {
-            self.table.remove_if_empty(head);
-        }
+        self.table.gc_if_drained(head);
     }
 }
 
@@ -1249,6 +1015,53 @@ mod tests {
         // The page entry was invalidated as an orphan rather than reclaimed:
         let snap = m.stats().snapshot();
         assert!(snap.sli_invalidated >= 2, "table + orphaned page");
+    }
+
+    #[test]
+    fn mid_txn_orphan_invalidation_wakes_its_waiter() {
+        let m = mgr_latched(true);
+        let (table, page) = (LockId::Table(TableId(1)), LockId::Page(TableId(1), 0));
+        let mut a0 = m.register_agent().unwrap();
+        let mut ts0 = TxnLockState::new(a0.slot());
+        m.begin(&mut ts0, &mut a0);
+        m.lock(&mut ts0, &mut a0, rec(1, 0, 0), LockMode::S)
+            .unwrap();
+        heat(&m, LockId::Database);
+        heat(&m, table);
+        heat(&m, page);
+        m.end_txn(&mut ts0, &mut a0, true);
+        assert_eq!(a0.inherited_count(), 3);
+        // All three pass the hand-off validation into the new cache.
+        m.begin(&mut ts0, &mut a0);
+
+        // A conflicting X on the table invalidates agent 0's table lock,
+        // which orphans its page lock mid-transaction.
+        let mut a1 = m.register_agent().unwrap();
+        let mut ts1 = TxnLockState::new(a1.slot());
+        m.begin(&mut ts1, &mut a1);
+        m.lock(&mut ts1, &mut a1, table, LockMode::X).unwrap();
+        m.end_txn(&mut ts1, &mut a1, true);
+
+        // An X waiter blocked only by the orphaned page lock.
+        let head = m.head(page).unwrap();
+        let waiter = Arc::new(LockRequest::new_waiting(page, a1.slot(), 99, LockMode::X));
+        {
+            let mut q = head.latch_untracked();
+            q.begin_scan();
+            q.push_waiting(Arc::clone(&waiter));
+        }
+        assert_eq!(waiter.status(), RequestStatus::Waiting);
+
+        // Agent 0 finds its table lock invalid and invalidates the orphan:
+        // that must grant the waiter, not leave it to its next poll.
+        m.lock(&mut ts0, &mut a0, table, LockMode::IS).unwrap();
+        assert_eq!(waiter.status(), RequestStatus::Granted);
+
+        head.latch_untracked().release(&waiter, m.stats());
+        m.end_txn(&mut ts0, &mut a0, true);
+        m.retire_agent(&mut a0);
+        m.retire_agent(&mut a1);
+        assert_eq!(m.quiescent_heads(), Ok(3));
     }
 
     #[test]
