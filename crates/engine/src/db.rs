@@ -156,6 +156,29 @@ pub struct Database {
     pub(crate) mvcc: Option<Arc<MvccStore>>,
     catalog: RwLock<HashMap<String, TableHandle>>,
     tables: RwLock<Vec<Arc<TableData>>>,
+    /// Declared last: fields drop in order, so this runs after every table.
+    _release: ReleaseOnDrop,
+}
+
+/// Hands the pages a dropped database freed back to the OS. Under glibc a
+/// row lives in the malloc arena of the thread that inserted it, and which
+/// arena the next database's threads draw depends on thread exit order, so
+/// without a trim a process that reopens databases keeps the old rows
+/// resident beside the new ones on some runs and not on others.
+struct ReleaseOnDrop;
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        // SAFETY: glibc's `malloc_trim` is MT-Safe, takes no pointers and
+        // only releases pages its arenas already hold free.
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        unsafe {
+            unsafe extern "C" {
+                fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+            }
+            malloc_trim(0);
+        }
+    }
 }
 
 impl Database {
@@ -179,6 +202,7 @@ impl Database {
             mvcc,
             catalog: RwLock::new(HashMap::new()),
             tables: RwLock::new(Vec::new()),
+            _release: ReleaseOnDrop,
         })
     }
 
